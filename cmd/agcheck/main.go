@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&k, "K", 2, "alias for -k")
 	vetFlag := fs.String("vet", "warn", "static pre-check mode: strict | warn | off")
 	mutate := fs.String("mutate", "", "plant a named faultinject vet mutation before checking (analyzer testing aid)")
-	reduceFlag := fs.String("reduce", "off", "state-space reduction for safety-only obligations: off | por | sym | por,sym")
+	reduceFlag := fs.String("reduce", "off", "state-space reduction for safety-only obligations: off | sym")
 	bf := engine.AddBudgetFlags(fs)
 	workers := engine.AddWorkersFlag(fs)
 	of := obs.AddFlags(fs)
@@ -156,7 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *model {
 	case "circular":
 		makeTheorem = func() (*ag.Theorem, error) { return circular.SafetyTheorem(), nil }
-		modelSym = circular.Symmetry()
 	case "queues":
 		makeTheorem = func() (*ag.Theorem, error) { return cfg.Fig9Theorem(), nil }
 		modelSym = cfg.DoubleSymmetry()
@@ -172,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		makeRefinement = cfg.CorollaryRefinement
 	case "arbiter":
 		makeTheorem = func() (*ag.Theorem, error) { return arbiter.Theorem(), nil }
-		modelSym = arbiter.Symmetry()
 	default:
 		return fail("unknown model %q; valid models: %s", *model, strings.Join(modelNames, " | "))
 	}

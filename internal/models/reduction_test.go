@@ -15,51 +15,35 @@ import (
 	"opentla/internal/ts"
 )
 
-// reductionModes returns the reduction configurations to cross-check for a
-// model: POR alone always, and the symmetry combinations when the model
-// declares a group.
-func reductionModes(m Model) []reduce.Options {
-	modes := []reduce.Options{{POR: true}}
-	if m.Symmetry != nil {
-		modes = append(modes, reduce.Options{Sym: true}, reduce.Options{POR: true, Sym: true})
-	}
-	return modes
+// symReduce is the -reduce sym configuration for a model: canonicalization
+// under its declared value group, inert when it declares none.
+func symReduce(m Model) *reduce.Config {
+	return &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: m.Symmetry}
 }
 
 // reductionProbe is a safety property checked on both the full and the
-// reduced graph. symOK marks probes that are invariant under the model's
-// declared symmetry group; only those may be cross-checked on
-// symmetry-reduced graphs (a non-invariant probe is allowed to disagree,
-// so a disagreement would not witness a reduction bug).
+// reduced graph. Every probe is invariant under the model's declared
+// symmetry group, so a disagreement witnesses a reduction bug.
 type reductionProbe struct {
-	name    string
-	f       form.Formula
-	visible []string
-	symOK   bool
+	name string
+	f    form.Formula
 }
 
 // buildProbes assembles the cross-check properties for a model:
 //
 //   - boxes: the conjunction of every component's □[N]_v — holds by
 //     construction, and is group-invariant because symmetry validation
-//     checks exactly that the group permutes the component multiset.
-//   - init-pin: □(v = v₀ for every symmetry-safe variable v), pinning the
-//     state to its initial binding. Violated whenever any such variable
-//     ever changes, so it exercises the counterexample path. Variables of
-//     the value orbit are excluded (v = 0 is not invariant under value
-//     permutation); block variables stay because the models' initial
-//     bindings assign equal values across block positions.
-//   - pin-one: the init pin on a single variable, giving POR a small
-//     visible set so the ample machinery actually prunes. Not
-//     symmetry-invariant in general (it names one block position), so it
-//     runs only on POR-only graphs.
+//     checks every action against the group.
+//   - init-pin: □(v = v₀ for every variable v outside the value orbit),
+//     pinning the state to its initial binding. Violated whenever any such
+//     variable ever changes, so it exercises the counterexample path.
+//     Variables of the value orbit are excluded (v = 0 is not invariant
+//     under value permutation).
 func buildProbes(m Model, full *ts.Graph) []reductionProbe {
 	var boxes []form.Formula
 	for _, c := range m.Components {
 		boxes = append(boxes, c.Box())
 	}
-	allVars := full.States[full.Inits[0]].Vars()
-
 	orbit := make(map[string]bool)
 	if m.Symmetry != nil {
 		for _, v := range m.Symmetry.Vars {
@@ -68,21 +52,15 @@ func buildProbes(m Model, full *ts.Graph) []reductionProbe {
 	}
 	init := full.States[full.Inits[0]]
 	var pins []form.Expr
-	var pinVars []string
-	for _, v := range allVars {
-		if orbit[v] {
-			continue
+	for _, v := range init.Vars() {
+		if !orbit[v] {
+			pins = append(pins, form.Eq(form.Var(v), form.Const(init.MustGet(v))))
 		}
-		pins = append(pins, form.Eq(form.Var(v), form.Const(init.MustGet(v))))
-		pinVars = append(pinVars, v)
 	}
-
-	probes := []reductionProbe{
-		{name: "boxes", f: form.AndF(boxes...), visible: allVars, symOK: true},
-		{name: "init-pin", f: form.AlwaysPred(form.And(pins...)), visible: pinVars, symOK: true},
-		{name: "pin-one", f: form.AlwaysPred(pins[0]), visible: pinVars[:1], symOK: false},
+	return []reductionProbe{
+		{name: "boxes", f: form.AndF(boxes...)},
+		{name: "init-pin", f: form.AlwaysPred(form.And(pins...))},
 	}
-	return probes
 }
 
 func buildModel(t *testing.T, m Model, rd *reduce.Config, workers int) *ts.Graph {
@@ -98,57 +76,55 @@ func buildModel(t *testing.T, m Model, rd *reduce.Config, workers int) *ts.Graph
 }
 
 // TestReducedVsFullRegistry is the soundness cross-check the reduction
-// mutants of internal/faultinject must fail: for every bundled model and
-// every reduction mode, the reduced graph decides the same safety verdicts
-// as the full graph, produces a counterexample exactly when the full check
-// does, and never has more states. Run with -race and -cpu 1,4.
+// mutants of internal/faultinject must fail: for every bundled model, the
+// -reduce sym graph decides the same safety verdicts as the full graph,
+// produces a counterexample exactly when the full check does, and never has
+// more states. A model without a declared group must come out unreduced and
+// the same size as the full graph. Run with -race and -cpu 1,4.
 func TestReducedVsFullRegistry(t *testing.T) {
 	// Value symmetry collapses data-distinguishing states in these models,
-	// so sym modes must strictly shrink them; a non-shrinking "reduction"
-	// means the canonicalizer silently stopped firing.
+	// so they must strictly shrink; a non-shrinking "reduction" means the
+	// canonicalizer silently stopped firing.
 	strictSym := map[string]bool{"handshake": true, "queue": true, "doublequeue": true}
 
 	for _, m := range All() {
 		t.Run(m.Name, func(t *testing.T) {
 			full := buildModel(t, m, nil, 0)
-			probes := buildProbes(m, full)
-			for _, o := range reductionModes(m) {
-				for _, p := range probes {
-					if o.Sym && !p.symOK {
-						continue
+			red := buildModel(t, m, symReduce(m), 0)
+			for _, p := range buildProbes(m, full) {
+				t.Run("sym/"+p.name, func(t *testing.T) {
+					if len(red.States) > len(full.States) {
+						t.Errorf("reduced graph has MORE states than full: %d > %d",
+							len(red.States), len(full.States))
 					}
-					t.Run(o.String()+"/"+p.name, func(t *testing.T) {
-						rd := &reduce.Config{Options: o, Symmetry: m.Symmetry, Visible: p.visible}
-						red := buildModel(t, m, rd, 0)
-						if len(red.States) > len(full.States) {
-							t.Errorf("reduced graph has MORE states than full: %d > %d",
-								len(red.States), len(full.States))
-						}
-						if o.Sym && strictSym[m.Name] && len(red.States) >= len(full.States) {
-							t.Errorf("value symmetry did not shrink the graph: %d >= %d states",
-								len(red.States), len(full.States))
-						}
-						fr, err := check.Safety(full, p.f)
-						if err != nil {
-							t.Fatalf("full check: %v", err)
-						}
-						rr, err := check.Safety(red, p.f)
-						if err != nil {
-							t.Fatalf("reduced check: %v", err)
-						}
-						if fr.Holds != rr.Holds {
-							t.Errorf("verdict mismatch: full holds=%v, reduced holds=%v (%s / %s)",
-								fr.Holds, rr.Holds, fr.Violation, rr.Violation)
-						}
-						if !rr.Holds && len(rr.Trace) == 0 {
-							t.Errorf("reduced check violated without a counterexample trace")
-						}
-						if !fr.Holds && len(fr.Trace) == 0 {
-							t.Errorf("full check violated without a counterexample trace")
-						}
-						t.Logf("states full=%d reduced=%d holds=%v", len(full.States), len(red.States), rr.Holds)
-					})
-				}
+					if strictSym[m.Name] && len(red.States) >= len(full.States) {
+						t.Errorf("value symmetry did not shrink the graph: %d >= %d states",
+							len(red.States), len(full.States))
+					}
+					if m.Symmetry == nil && (red.Reduced() || len(red.States) != len(full.States)) {
+						t.Errorf("sym without a declared group must be inert: reduced=%v, %d vs %d states",
+							red.Reduced(), len(red.States), len(full.States))
+					}
+					fr, err := check.Safety(full, p.f)
+					if err != nil {
+						t.Fatalf("full check: %v", err)
+					}
+					rr, err := check.Safety(red, p.f)
+					if err != nil {
+						t.Fatalf("reduced check: %v", err)
+					}
+					if fr.Holds != rr.Holds {
+						t.Errorf("verdict mismatch: full holds=%v, reduced holds=%v (%s / %s)",
+							fr.Holds, rr.Holds, fr.Violation, rr.Violation)
+					}
+					if !rr.Holds && len(rr.Trace) == 0 {
+						t.Errorf("reduced check violated without a counterexample trace")
+					}
+					if !fr.Holds && len(fr.Trace) == 0 {
+						t.Errorf("full check violated without a counterexample trace")
+					}
+					t.Logf("states full=%d reduced=%d holds=%v", len(full.States), len(red.States), rr.Holds)
+				})
 			}
 		})
 	}
@@ -179,87 +155,73 @@ func reducedSignature(g *ts.Graph) string {
 // per-edge real successors must be byte-identical at any worker count.
 func TestReducedBuildDeterministic(t *testing.T) {
 	for _, m := range All() {
-		for _, o := range reductionModes(m) {
-			t.Run(m.Name+"/"+o.String(), func(t *testing.T) {
-				mk := func(workers int) *ts.Graph {
-					rd := &reduce.Config{Options: o, Symmetry: m.Symmetry}
-					return buildModel(t, m, rd, workers)
+		t.Run(m.Name+"/sym", func(t *testing.T) {
+			want := reducedSignature(buildModel(t, m, symReduce(m), 1))
+			for _, workers := range []int{2, 4, 8} {
+				if got := reducedSignature(buildModel(t, m, symReduce(m), workers)); got != want {
+					t.Errorf("reduced graph at workers=%d differs from sequential", workers)
 				}
-				want := reducedSignature(mk(1))
-				for _, workers := range []int{2, 4, 8} {
-					if got := reducedSignature(mk(workers)); got != want {
-						t.Errorf("reduced graph at workers=%d differs from sequential", workers)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestReducedBuildFlightRecorder pins the observability side of -reduce
-// por,sym: a reduced build through an instrumented meter must land a
-// "reduce" event in the flight-recorder ring, a reduction section in the
-// run report, and the opentla_reduce_* counters in the metric snapshot.
-// Run with -race and -cpu 1,4: the recorder seams are the only shared
-// state between the build workers and the coordinator.
+// sym: a reduced build through an instrumented meter must land a "reduce"
+// event in the flight-recorder ring, a reduction section in the run report
+// whose expansion tallies are the graph's rows and edges, and the
+// opentla_reduce_* counters in the metric snapshot. A model without a
+// declared group builds unreduced and reports none of them. Run with -race
+// and -cpu 1,4: the recorder seams are the only shared state between the
+// build workers and the coordinator.
 func TestReducedBuildFlightRecorder(t *testing.T) {
 	for _, m := range All() {
-		if m.Symmetry == nil {
-			continue // por,sym needs a declared group
-		}
 		t.Run(m.Name, func(t *testing.T) {
 			meter := engine.NoLimit()
 			rec := obs.New(meter)
 			reg := metrics.NewRegistry()
 			rec.SetMetrics(reg)
 
-			// A small visible set (as -reduce derives from the checked
-			// property) keeps the ample machinery engaged; without one POR
-			// declines and only symmetry runs.
-			full := buildModel(t, m, nil, 0)
-			probes := buildProbes(m, full)
-
 			sys := m.System()
-			sys.Reduce = &reduce.Config{
-				Options:  reduce.Options{POR: true, Sym: true},
-				Symmetry: m.Symmetry,
-				Visible:  probes[len(probes)-1].visible,
-			}
+			sys.Reduce = symReduce(m)
 			sys.Workers = 4
-			if _, err := sys.BuildWith(meter); err != nil {
+			g, err := sys.BuildWith(meter)
+			if err != nil {
 				t.Fatalf("reduced build: %v", err)
 			}
 
-			// The ring may also hold advisory reduce events ("POR
-			// disabled: ..."); at least one must carry the tallies.
 			var statsEvents int
 			for _, e := range rec.Events() {
 				if e.Kind == "reduce" && strings.Contains(e.Msg, "sym-collapsed") {
 					statsEvents++
-					if !strings.Contains(e.Msg, "ample") {
-						t.Errorf("reduce event %q missing the ample tally", e.Msg)
-					}
 				}
 			}
-			if statsEvents == 0 {
-				t.Fatalf("no reduce statistics event in the flight recorder ring: %+v", rec.Events())
-			}
-
 			rep := rec.Finish("test", obs.Config{Model: m.Name, Workers: 4}, engine.Holds, "")
-			if rep.Reduction == nil {
-				t.Fatal("report has no reduction section")
-			}
-			if rep.Reduction.AmpleStates+rep.Reduction.FullStates == 0 {
-				t.Errorf("reduction section counted no expansions: %+v", rep.Reduction)
-			}
-
 			byName := map[string]int64{}
 			for _, p := range rep.Metrics {
 				if p.Labels == "" {
 					byName[p.Name] = p.Value
 				}
 			}
-			if byName["opentla_reduce_ample_states_total"]+byName["opentla_reduce_full_states_total"] == 0 {
+
+			if m.Symmetry == nil {
+				if g.Reduced() || statsEvents != 0 || rep.Reduction != nil || byName["opentla_reduce_full_states_total"] != 0 {
+					t.Errorf("sym without a declared group must be inert: reduced=%v, %d reduce events, report %+v",
+						g.Reduced(), statsEvents, rep.Reduction)
+				}
+				return
+			}
+			if statsEvents == 0 {
+				t.Fatalf("no reduce statistics event in the flight recorder ring: %+v", rec.Events())
+			}
+			if rep.Reduction == nil {
+				t.Fatal("report has no reduction section")
+			}
+			if rep.Reduction.FullStates != int64(g.NumStates()) || rep.Reduction.FullSuccs != int64(g.NumEdges()) {
+				t.Errorf("reduction section %+v does not match the graph's %d rows and %d edges",
+					rep.Reduction, g.NumStates(), g.NumEdges())
+			}
+			if byName["opentla_reduce_full_states_total"] != int64(g.NumStates()) {
 				t.Errorf("opentla_reduce_* counters absent from metrics snapshot: %v", byName)
 			}
 		})

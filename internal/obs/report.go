@@ -19,13 +19,15 @@ import (
 // vet section (static-analysis pre-check results); version 4 added the
 // self-healing cache counters (quarantined, temp_swept, gc_removed,
 // retries) and the "stall"/"cache-*" flight-recorder event kinds;
-// version 5 added the reduction section (POR/symmetry statistics), the
+// version 5 added the reduction section (reduction statistics), the
 // config "reduce" field, and the "reduce" flight-recorder event kind;
 // version 6 added the metrics section (performance-telemetry counter/
 // gauge/histogram snapshot, present when the run attached a registry via
 // -trace or -metrics-out); version 7 added the vet section's bound field
-// (the semantic pass's state-space cardinality upper bound).
-const SchemaVersion = 7
+// (the semantic pass's state-space cardinality upper bound); version 8
+// dropped the reduction section's ample_states and ample_succs fields
+// along with partial-order reduction.
+const SchemaVersion = 8
 
 // Report is the versioned machine-readable run report written by -report.
 type Report struct {
@@ -74,7 +76,7 @@ type Config struct {
 	BudgetMS       int64  `json:"budget_ms"`
 	MaxStates      int    `json:"max_states"`
 	MaxTransitions int    `json:"max_transitions"`
-	// Reduce is the -reduce mode of the run ("por", "sym", "por,sym"),
+	// Reduce is the -reduce mode of the run ("sym"),
 	// empty when reduction was off.
 	Reduce string `json:"reduce,omitempty"`
 }
@@ -134,13 +136,9 @@ func (c CacheStats) any() bool {
 // ReductionReport summarizes state-space reduction over one run, summed
 // across every exploration that ran with an active reduce.Config.
 type ReductionReport struct {
-	// AmpleStates and FullStates count expanded states by whether POR
-	// chose an ample subset or fell back to full expansion.
-	AmpleStates int64 `json:"ample_states"`
-	FullStates  int64 `json:"full_states"`
-	// AmpleSuccs and FullSuccs count the successors those expansions
-	// produced; their ratio is the POR edge-pruning factor.
-	AmpleSuccs int64 `json:"ample_succs"`
+	// FullStates and FullSuccs count the expanded states and the
+	// successors they produced.
+	FullStates int64 `json:"full_states"`
 	FullSuccs  int64 `json:"full_succs"`
 	// SymCollapsed counts successors rewritten to a distinct canonical
 	// representative by symmetry canonicalization.
@@ -278,9 +276,7 @@ func (r *Recorder) Finish(tool string, cfg Config, v engine.Verdict, unknownReas
 	}
 	if rs := r.Reduction(); rs != (engine.ReductionStats{}) {
 		rep.Reduction = &ReductionReport{
-			AmpleStates:  rs.AmpleStates,
 			FullStates:   rs.FullStates,
-			AmpleSuccs:   rs.AmpleSuccs,
 			FullSuccs:    rs.FullSuccs,
 			SymCollapsed: rs.SymCollapsed,
 		}

@@ -139,8 +139,8 @@ func TestFinishIncludesMetricsSection(t *testing.T) {
 	reg.Counter("a_total", "").Add(1)
 	rec.SetMetrics(reg)
 	rep := rec.Finish("test", Config{}, engine.Holds, "")
-	if rep.SchemaVersion != 7 {
-		t.Fatalf("schema_version = %d, want 7", rep.SchemaVersion)
+	if rep.SchemaVersion != 8 {
+		t.Fatalf("schema_version = %d, want 8", rep.SchemaVersion)
 	}
 	if len(rep.Metrics) != 2 || rep.Metrics[0].Name != "a_total" || rep.Metrics[1].Name != "b_total" {
 		t.Fatalf("metrics section wrong: %+v", rep.Metrics)

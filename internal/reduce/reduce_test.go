@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"opentla/internal/form"
-	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/value"
 )
@@ -18,19 +17,23 @@ func TestParseFlag(t *testing.T) {
 	}{
 		{"", Options{}, false},
 		{"off", Options{}, false},
-		{"por", Options{POR: true}, false},
 		{"sym", Options{Sym: true}, false},
-		{"por,sym", Options{POR: true, Sym: true}, false},
-		{"sym,por", Options{POR: true, Sym: true}, false},
-		{" sym , por ", Options{POR: true, Sym: true}, false},
+		{" sym ", Options{Sym: true}, false},
 		{"bogus", Options{}, true},
-		{"por,off", Options{}, true},
+		// Partial-order reduction was removed; its modes are now rejected.
+		{"por", Options{}, true},
+		{"por,sym", Options{}, true},
+		{"sym,por", Options{}, true},
+		{"sym,sym", Options{}, true},
 	}
 	for _, c := range cases {
 		got, err := ParseFlag(c.in)
 		if (err != nil) != c.wantErr {
 			t.Errorf("ParseFlag(%q) err = %v, wantErr %v", c.in, err, c.wantErr)
 			continue
+		}
+		if err != nil && !(strings.Contains(err.Error(), "off") && strings.Contains(err.Error(), "sym")) {
+			t.Errorf("ParseFlag(%q) error %q does not name the valid modes off and sym", c.in, err)
 		}
 		if !c.wantErr && got != c.want {
 			t.Errorf("ParseFlag(%q) = %+v, want %+v", c.in, got, c.want)
@@ -39,7 +42,7 @@ func TestParseFlag(t *testing.T) {
 }
 
 func TestOptionsString(t *testing.T) {
-	for _, s := range []string{"off", "por", "sym", "por,sym"} {
+	for _, s := range []string{"off", "sym"} {
 		o, err := ParseFlag(s)
 		if err != nil {
 			t.Fatalf("ParseFlag(%q): %v", s, err)
@@ -72,7 +75,7 @@ func TestParseDisjointRejectsOpaque(t *testing.T) {
 
 func TestConstraintNormalRenameInvariant(t *testing.T) {
 	// UNCHANGED⟨g1,g2⟩ vs UNCHANGED⟨g2,g1⟩ must normalize identically:
-	// a block rename reorders DisjointSteps arguments.
+	// a variable rename reorders DisjointSteps arguments.
 	a := form.DisjointSteps([]string{"r1", "g1"}, []string{"r2", "g2"})[0]
 	b := form.DisjointSteps([]string{"r2", "g2"}, []string{"r1", "g1"})[0]
 	if constraintNormal(a) != constraintNormal(b) {
@@ -208,7 +211,8 @@ func TestCanonValueOrbitExhaustive(t *testing.T) {
 	sym := valSym()
 	cz := canonFor(sym, nil)
 	var want *state.State
-	for _, p := range permutations(3) {
+	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, p := range perms {
 		perm := func(v value.Value) value.Value {
 			i, _ := v.AsInt()
 			return value.Int(int64(p[i]))
@@ -225,34 +229,6 @@ func TestCanonValueOrbitExhaustive(t *testing.T) {
 		} else if !c.Equal(want) {
 			t.Fatalf("permutation %v canonicalizes to %s, want %s", p, c, want)
 		}
-	}
-}
-
-func TestCanonBlocks(t *testing.T) {
-	sym := &Symmetry{Blocks: [][]string{{"r1", "g1"}, {"r2", "g2"}}}
-	cz := canonFor(sym, nil)
-	s1 := state.New(map[string]value.Value{
-		"r1": value.True, "g1": value.False,
-		"r2": value.False, "g2": value.True,
-	})
-	s2 := state.New(map[string]value.Value{
-		"r1": value.False, "g1": value.True,
-		"r2": value.True, "g2": value.False,
-	})
-	c1, c2 := cz.Canon(s1), cz.Canon(s2)
-	if !c1.Equal(c2) {
-		t.Errorf("block-swapped states canonicalize differently:\n%s\n%s", c1, c2)
-	}
-	if !cz.Canon(c1).Equal(c1) {
-		t.Error("block canon is not idempotent")
-	}
-	// A block-symmetric state is its own representative.
-	sEq := state.New(map[string]value.Value{
-		"r1": value.True, "g1": value.False,
-		"r2": value.True, "g2": value.False,
-	})
-	if !cz.Canon(sEq).Equal(sEq) {
-		t.Error("symmetric state not fixed by canon")
 	}
 }
 
@@ -291,183 +267,17 @@ func TestCanonSabotageSeams(t *testing.T) {
 	}
 }
 
-func replicaComponent(name, out string) *spec.Component {
-	return &spec.Component{
-		Name:    name,
-		Outputs: []string{out},
-		Init:    form.Eq(form.Var(out), form.IntC(0)),
-		Actions: []spec.Action{{
-			Name: "step",
-			Def:  form.Eq(form.Prime(form.Var(out)), form.IntC(1)),
-		}},
-	}
-}
-
-func TestValidateBlocksReplicas(t *testing.T) {
-	sym := &Symmetry{Blocks: [][]string{{"a"}, {"b"}}}
-	comps := []*spec.Component{replicaComponent("A", "a"), replicaComponent("B", "b")}
-	domains := map[string][]value.Value{"a": value.Ints(0, 1), "b": value.Ints(0, 1)}
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	if err := sym.Validate(comps, steps, nil, domains); err != nil {
-		t.Errorf("replica components rejected: %v", err)
-	}
-
-	// Break the replication: B writes 2 where A writes 1.
-	broken := []*spec.Component{replicaComponent("A", "a"), {
-		Name:    "B",
-		Outputs: []string{"b"},
-		Init:    form.Eq(form.Var("b"), form.IntC(0)),
-		Actions: []spec.Action{{
-			Name: "step",
-			Def:  form.Eq(form.Prime(form.Var("b")), form.IntC(2)),
-		}},
-	}}
-	if err := sym.Validate(broken, steps, nil, domains); err == nil {
-		t.Error("non-replica components accepted for block symmetry")
-	}
-
-	// Unequal domains.
-	badDoms := map[string][]value.Value{"a": value.Ints(0, 1), "b": value.Ints(0, 2)}
-	if err := sym.Validate(comps, steps, nil, badDoms); err == nil {
-		t.Error("unequal block domains accepted")
-	}
-}
-
 func TestValidateShapeErrors(t *testing.T) {
 	bad := []*Symmetry{
 		{Values: []value.Value{value.Int(0), value.Int(0)}, Vars: []string{"x"}},
 		{Values: value.Ints(0, 1), Vars: []string{"x", "x"}},
-		{Blocks: [][]string{{"a"}, {"b", "c"}}},
-		{Blocks: [][]string{{"a"}, {"a"}}},
+		{Values: []value.Value{value.Int(0), value.Tuple(value.Int(1))}, Vars: []string{"x"}},
 	}
-	doms := map[string][]value.Value{
-		"x": value.Ints(0, 1), "a": value.Ints(0, 1),
-		"b": value.Ints(0, 1), "c": value.Ints(0, 1),
-	}
+	doms := map[string][]value.Value{"x": value.Ints(0, 1)}
 	for i, sym := range bad {
 		if err := sym.Validate(nil, nil, nil, doms); err == nil {
 			t.Errorf("case %d: malformed declaration accepted", i)
 		}
-	}
-}
-
-func TestCheckBlockInvariant(t *testing.T) {
-	sym := &Symmetry{Blocks: [][]string{{"g1"}, {"g2"}}}
-	symmetric := form.Not(form.And(form.Var("g1"), form.Var("g2")))
-	if err := sym.CheckBlockInvariant(symmetric); err != nil {
-		t.Errorf("symmetric mutex formula rejected: %v", err)
-	}
-	asymmetric := form.Var("g1")
-	if err := sym.CheckBlockInvariant(asymmetric); err == nil {
-		t.Error("replica-distinguishing formula accepted")
-	}
-}
-
-func independentComps() []*spec.Component {
-	return []*spec.Component{
-		{
-			Name:    "A",
-			Outputs: []string{"a"},
-			Init:    form.Eq(form.Var("a"), form.IntC(0)),
-			Actions: []spec.Action{{
-				Name: "inc",
-				Def:  form.Eq(form.Prime(form.Var("a")), form.IntC(1)),
-			}},
-		},
-		{
-			Name:    "B",
-			Outputs: []string{"b"},
-			Init:    form.Eq(form.Var("b"), form.IntC(0)),
-			Actions: []spec.Action{{
-				Name: "inc",
-				Def:  form.Eq(form.Prime(form.Var("b")), form.IntC(1)),
-			}},
-		},
-	}
-}
-
-func TestNewPORPlanIndependent(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	plan, reason := NewPORPlan(comps, steps, nil, []string{"c"}, nil)
-	if plan == nil {
-		t.Fatalf("plan disabled: %s", reason)
-	}
-	if !plan.Eligible(0) || !plan.Eligible(1) {
-		t.Errorf("want both components eligible, got %v", plan.EligibleNames())
-	}
-}
-
-func TestNewPORPlanVisibility(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	plan, reason := NewPORPlan(comps, steps, nil, []string{"a"}, nil)
-	if plan == nil {
-		t.Fatalf("plan disabled: %s", reason)
-	}
-	if plan.Eligible(0) {
-		t.Error("component writing visible variable is eligible")
-	}
-	if !plan.Eligible(1) {
-		t.Error("invisible independent component not eligible")
-	}
-	// The sabotage seam restores eligibility.
-	plan, _ = NewPORPlan(comps, steps, nil, []string{"a"}, &Sabotage{IgnoreVisibility: true})
-	if plan == nil || !plan.Eligible(0) {
-		t.Error("ignore-visibility sabotage did not restore eligibility")
-	}
-}
-
-func TestNewPORPlanDependence(t *testing.T) {
-	comps := independentComps()
-	// B now reads a: A's writes intersect B's vars, so neither side of the
-	// A/B pair is independent — A ineligible; B writes only b but reads a,
-	// and a is written by A, so B ineligible too.
-	comps[1].Inputs = []string{"a"}
-	comps[1].Actions[0].Def = form.And(
-		form.Eq(form.Var("a"), form.IntC(1)),
-		form.Eq(form.Prime(form.Var("b")), form.IntC(1)))
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	plan, reason := NewPORPlan(comps, steps, nil, nil, nil)
-	if plan != nil {
-		t.Fatalf("dependent components produced plan %v", plan.EligibleNames())
-	}
-	if !strings.Contains(reason, "no component") {
-		t.Errorf("unexpected disable reason %q", reason)
-	}
-	// ignore-dependence sabotage accepts them.
-	plan, _ = NewPORPlan(comps, steps, nil, nil, &Sabotage{IgnoreDependence: true})
-	if plan == nil || !plan.Eligible(0) {
-		t.Error("ignore-dependence sabotage did not restore eligibility")
-	}
-}
-
-func TestNewPORPlanFreeVars(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	// a free environment variable read by A disqualifies A only.
-	comps[0].Inputs = []string{"env"}
-	plan, reason := NewPORPlan(comps, steps, []string{"env"}, nil, nil)
-	if plan == nil {
-		t.Fatalf("plan disabled: %s", reason)
-	}
-	if plan.Eligible(0) {
-		t.Error("component touching a free variable is eligible")
-	}
-	if !plan.Eligible(1) {
-		t.Error("independent component not eligible")
-	}
-}
-
-func TestNewPORPlanOpaqueConstraint(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "odd", E: form.Lt(form.Var("a"), form.IntC(5))}}
-	plan, reason := NewPORPlan(comps, steps, nil, nil, nil)
-	if plan != nil {
-		t.Fatal("plan produced despite opaque constraint")
-	}
-	if !strings.Contains(reason, "Disjoint") {
-		t.Errorf("unexpected disable reason %q", reason)
 	}
 }
 
@@ -479,24 +289,23 @@ func TestConfigDesc(t *testing.T) {
 	if (&Config{}).Desc() != "" {
 		t.Error("inactive config desc nonempty")
 	}
-	full := &Config{
-		Options:  Options{POR: true, Sym: true},
-		Symmetry: valSym(),
-		Visible:  []string{"z", "a"},
+	if (&Config{Options: Options{Sym: true}}).Desc() != "" {
+		t.Error("sym without a declared group must be inert, with no desc")
 	}
-	d := full.Desc()
-	for _, want := range []string{"modes=por,sym", "visible=[a,z]", "sym-values=[0,1,2]"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("desc missing %q:\n%s", want, d)
-		}
+	// The value-symmetry desc is part of every reduced graph's cache key;
+	// entries written by earlier builds must keep resolving, so the bytes
+	// are pinned exactly.
+	soundCfg := &Config{Options: Options{Sym: true}, Symmetry: valSym()}
+	const want = "reduce:\n  modes=sym\n  sym-values=[0,1,2] vars=[i.val,o.val,q]\n"
+	if got := soundCfg.Desc(); got != want {
+		t.Errorf("value-symmetry desc changed:\ngot  %q\nwant %q", got, want)
 	}
 	sab := &Config{Options: Options{Sym: true}, Symmetry: valSym(),
-		Sabotage: &Sabotage{SkipC3: true, CollapseValues: true}}
-	if !strings.Contains(sab.Desc(), "sabotage=collapse-values,skip-c3") {
+		Sabotage: &Sabotage{SkipTupleValues: true, CollapseValues: true}}
+	if !strings.Contains(sab.Desc(), "sabotage=collapse-values,skip-tuple-values") {
 		t.Errorf("sabotage marker missing from desc:\n%s", sab.Desc())
 	}
 	// Sabotaged and sound configs must never share a cache key.
-	soundCfg := &Config{Options: Options{Sym: true}, Symmetry: valSym()}
 	if sab.Desc() == soundCfg.Desc() {
 		t.Error("sabotaged desc equals sound desc")
 	}

@@ -8,7 +8,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/metrics"
 	"opentla/internal/obs"
-	"opentla/internal/reduce"
 	"opentla/internal/state"
 	"opentla/internal/store"
 )
@@ -34,18 +33,19 @@ type Graph struct {
 	meter   *engine.Meter
 
 	// Reduction bookkeeping. A reduced graph's States are canonical orbit
-	// representatives and its adjacency may omit interleavings; edgeStates
-	// (parallel to targets, symmetry builds only) preserves each edge's real
-	// successor so checks can iterate genuine steps via ForEachSuccStep.
-	// canon maps any state to its representative (nil when symmetry is off).
+	// representatives; edgeStates (parallel to targets, symmetry builds
+	// only) preserves each edge's real successor so checks can iterate
+	// genuine steps via ForEachSuccStep. canon maps any state to its
+	// representative (nil when symmetry is off).
 	edgeStates []*state.State
 	reduced    bool
 	canon      func(*state.State) *state.State
 }
 
-// Reduced reports whether the graph was built under state-space reduction
-// (POR and/or symmetry). Reduced graphs preserve all safety verdicts over
-// the visible variables but are unsuitable for fairness/liveness analysis.
+// Reduced reports whether the graph was built under symmetry reduction.
+// Reduced graphs preserve the verdict of every safety property invariant
+// under the declared group but are unsuitable for fairness/liveness
+// analysis.
 func (g *Graph) Reduced() bool { return g.reduced }
 
 // Meter returns the resource meter governing this graph and every check run
@@ -86,7 +86,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	// the canonicalizer is needed to reconstruct a cached reduced graph.
 	rd := sys.Reduce
 	var canon func(*state.State) *state.State
-	if rd.SymActive() {
+	if rd.Active() {
 		if err := rd.Symmetry.Validate(sys.Components, sys.reduceSteps(), sys.reduceInits(), sys.Domains); err != nil {
 			return nil, fmt.Errorf("system %s: symmetry declaration rejected: %w", sys.Name, err)
 		}
@@ -110,22 +110,6 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	}
 	free := sys.FreeVars()
 
-	var plan *reduce.PORPlan
-	var rc *reductionCounters
-	if rd.Active() {
-		rc = &reductionCounters{}
-		if rd.POR {
-			var reason string
-			plan, reason = reduce.NewPORPlan(sys.Components, sys.reduceSteps(), free, rd.Visible, rd.Sabotage)
-			if plan == nil {
-				m.Note("reduce", fmt.Sprintf("%s: POR disabled: %s", sys.Name, reason))
-			} else {
-				m.Note("reduce", fmt.Sprintf("%s: %s", sys.Name, reduce.DescribePlan(plan)))
-			}
-		}
-	}
-	skipC3 := rd != nil && rd.Sabotage != nil && rd.Sabotage.SkipC3
-
 	var inits []*state.State
 	if resume == nil {
 		inits, err = sys.initialStates(m)
@@ -144,16 +128,8 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		limitName: "system " + sys.Name,
 		meter:     m,
 		inits:     inits,
-		expand: func(s *state.State, committed func(*state.State) bool) ([]*state.State, error) {
-			if plan != nil {
-				return sys.ampleSuccessors(compiled, free, plan, skipC3, s, committed, rc)
-			}
-			succs, serr := sys.successors(compiled, free, s)
-			if serr == nil && rc != nil {
-				rc.fullStates.Add(1)
-				rc.fullSuccs.Add(int64(len(succs)))
-			}
-			return succs, serr
+		expand: func(s *state.State) ([]*state.State, error) {
+			return sys.successors(compiled, free, s)
 		},
 		canon:        canon,
 		resume:       resume,
@@ -162,9 +138,20 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rc != nil {
-		rc.symCollapsed.Add(res.symCollapsed)
-		stats := rc.stats()
+	if rd.Active() {
+		// Every state of a finished build was expanded in full exactly once
+		// and every successor became one committed edge, so the expansion
+		// tallies are the committed rows and edges, less those a resumed
+		// checkpoint restored without expanding.
+		stats := engine.ReductionStats{
+			FullStates:   int64(len(res.offsets) - 1),
+			FullSuccs:    int64(len(res.targets)),
+			SymCollapsed: res.symCollapsed,
+		}
+		if resume != nil {
+			stats.FullStates -= int64(resume.Rows())
+			stats.FullSuccs -= int64(len(resume.Targets))
+		}
 		m.NoteReduction(op, stats)
 		noteReductionMetrics(m, stats)
 	}

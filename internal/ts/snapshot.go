@@ -234,10 +234,11 @@ func (sys *System) CanonicalDesc() (string, bool) {
 		writeExpr(&sb, ic)
 		sb.WriteByte('\n')
 	}
-	// Reduction changes the constructed graph (representative states, ample
-	// edges), so an active configuration must key differently from the full
-	// build — and from any other reduction configuration. An inactive config
-	// contributes nothing, keeping pre-reduction cache keys stable.
+	// Reduction changes the constructed graph (representative states, real
+	// edge successors), so an active configuration must key differently from
+	// the full build — and from any other reduction configuration. An
+	// inactive config contributes nothing, keeping pre-reduction cache keys
+	// stable.
 	sb.WriteString(sys.Reduce.Desc())
 	return sb.String(), true
 }

@@ -14,7 +14,6 @@ package ts
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"opentla/internal/engine"
 	"opentla/internal/form"
@@ -57,8 +56,8 @@ type System struct {
 	// last completed level instead of restarting.
 	Resume bool
 	// Reduce, when non-nil with enabled options, requests state-space
-	// reduction: symmetry canonicalization and/or ample-set partial-order
-	// reduction (see internal/reduce). An invalid symmetry declaration is a
+	// reduction by symmetry canonicalization (see internal/reduce). An
+	// invalid symmetry declaration is a
 	// BuildWith error — at this level the declaration is the user's claim
 	// and a wrong claim must fail loudly, not silently explore less.
 	// Liveness checks refuse reduced graphs (see check.FindFairLasso);
@@ -67,7 +66,7 @@ type System struct {
 }
 
 // reduceSteps converts the step constraints to the reduce package's named
-// expressions (shared by symmetry validation and the POR planner).
+// expressions for symmetry validation.
 func (sys *System) reduceSteps() []reduce.NamedExpr {
 	out := make([]reduce.NamedExpr, 0, len(sys.Constraints))
 	for _, sc := range sys.Constraints {
@@ -598,121 +597,6 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 	}
 	return out, nil
-}
-
-// reductionCounters accumulates reduction statistics across concurrent
-// expansion workers; BuildWith reports them once per exploration via
-// Meter.NoteReduction.
-type reductionCounters struct {
-	ampleStates  atomic.Int64
-	fullStates   atomic.Int64
-	ampleSuccs   atomic.Int64
-	fullSuccs    atomic.Int64
-	symCollapsed atomic.Int64
-}
-
-func (rc *reductionCounters) stats() engine.ReductionStats {
-	if rc == nil {
-		return engine.ReductionStats{}
-	}
-	return engine.ReductionStats{
-		AmpleStates:  rc.ampleStates.Load(),
-		FullStates:   rc.fullStates.Load(),
-		AmpleSuccs:   rc.ampleSuccs.Load(),
-		FullSuccs:    rc.fullSuccs.Load(),
-		SymCollapsed: rc.symCollapsed.Load(),
-	}
-}
-
-// ampleSuccessors is successor generation under ample-set partial-order
-// reduction. It tries each statically eligible component j in declaration
-// order: the candidate ample set is j's pure steps from s (j executes one of
-// its actions; every other component and every free variable stutters),
-// each validated against j's action definition and every step constraint.
-// The set is used when it is nonempty (C0), excludes s itself (pure stutter
-// carries no progress), and contains no already-committed successor (C3, the
-// cycle proviso: an edge back to an explored state could close a cycle of
-// ample steps that postpones the other components forever — committed
-// states are exactly those assigned at previous level barriers, so this
-// test is deterministic at any worker count). If no eligible component
-// yields a usable ample set, the state is expanded in full.
-//
-// The returned list always ends with s: TLA behaviors permit stuttering, so
-// every state keeps its self-loop, exactly as in full expansion.
-func (sys *System) ampleSuccessors(cs *compiledSystem, free []string, plan *reduce.PORPlan, skipC3 bool, s *state.State, committed func(*state.State) bool, rc *reductionCounters) ([]*state.State, error) {
-	evalStep := func(kind, name string, pred form.CompiledPred, e form.Expr, st state.Step) (bool, error) {
-		ok, err := pred(st)
-		if err != nil {
-			return false, fmt.Errorf("system %s: %s %s on %s: %w", sys.Name, kind, name, st, err)
-		}
-		return ok, nil
-	}
-
-nextComponent:
-	for j := range cs.comps {
-		if !plan.Eligible(j) {
-			continue
-		}
-		cc := &cs.comps[j]
-		seen := store.NewSet()
-		var amp []*state.State
-		for ai := range cc.actions {
-			ca := &cc.actions[ai]
-			for _, up := range ca.exec(s) {
-				ups, err := sys.posUpdates(ca, s, up)
-				if err != nil {
-					return nil, err
-				}
-				t := s.CloneWith(ups)
-				if t.Equal(s) || seen.Has(t) {
-					continue
-				}
-				st := state.Step{From: s, To: t}
-				ok, err := evalStep("action", ca.name, ca.pred, ca.def, st)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				for ci := range cs.constraints {
-					c := &cs.constraints[ci]
-					ok, err = evalStep("constraint", c.name, c.pred, c.action, st)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				seen.Add(t)
-				amp = append(amp, t)
-			}
-		}
-		if len(amp) == 0 {
-			continue // C0: an empty ample set selects nothing
-		}
-		if !skipC3 {
-			for _, t := range amp {
-				if committed(t) {
-					continue nextComponent // C3: possible cycle, try another component
-				}
-			}
-		}
-		rc.ampleStates.Add(1)
-		rc.ampleSuccs.Add(int64(len(amp)) + 1)
-		return append(amp, s), nil
-	}
-
-	out, err := sys.successors(cs, free, s)
-	if err == nil {
-		rc.fullStates.Add(1)
-		rc.fullSuccs.Add(int64(len(out)))
-	}
-	return out, err
 }
 
 // advance increments the per-component mixed-radix counter; it returns

@@ -151,21 +151,17 @@ func observeCacheOp(m *engine.Meter, op string, start time.Time) {
 }
 
 // noteReductionMetrics exports one exploration's reduction statistics as
-// counters: ample hits/misses (states that took an ample set vs. fell back
-// to full expansion) and the successor and symmetry-collapse tallies.
+// counters: the expanded states, their successors, and the symmetry-collapse
+// tally.
 func noteReductionMetrics(m *engine.Meter, st engine.ReductionStats) {
 	reg := metrics.FromMeter(m)
 	if reg == nil {
 		return
 	}
-	reg.Counter("opentla_reduce_ample_states_total",
-		"states expanded through an ample set (POR hits)").Add(st.AmpleStates)
 	reg.Counter("opentla_reduce_full_states_total",
-		"states expanded in full under reduction (POR misses)").Add(st.FullStates)
-	reg.Counter("opentla_reduce_ample_succs_total",
-		"successors emitted by ample sets").Add(st.AmpleSuccs)
+		"states expanded under reduction").Add(st.FullStates)
 	reg.Counter("opentla_reduce_full_succs_total",
-		"successors emitted by full expansion under reduction").Add(st.FullSuccs)
+		"successors emitted under reduction").Add(st.FullSuccs)
 	reg.Counter("opentla_reduce_sym_collapsed_total",
 		"successor slots redirected to a symmetry orbit representative").Add(st.SymCollapsed)
 }

@@ -7,10 +7,13 @@ import (
 	"testing"
 
 	"opentla/internal/engine"
+	"opentla/internal/form"
 	"opentla/internal/metrics"
 	"opentla/internal/obs"
 	"opentla/internal/reduce"
+	"opentla/internal/spec"
 	"opentla/internal/trace"
+	"opentla/internal/value"
 )
 
 // telemetryMeter returns a meter whose observer carries a fresh tracer and
@@ -162,23 +165,88 @@ func TestBuildMetricsOnlyNeedsNoTracer(t *testing.T) {
 	}
 }
 
-// TestReductionMetricsExported checks that a POR build lands ample hit/miss
-// counters in the registry (the reduce instrumentation seam).
+// shiftSystem is a three-stage value pipeline symmetric under every
+// permutation of its data values {0,1,2}: Load puts any value into a, and
+// the shifts copy a into b and b into c. Its 27 states fall into the 5
+// orbits of the equality patterns among (a, b, c), discovered over 4 BFS
+// levels from the all-equal initial orbit.
+func shiftSystem() *System {
+	vals := value.Ints(0, 2)
+	comp := &spec.Component{
+		Name:    "shift",
+		Outputs: []string{"a", "b", "c"},
+		Init:    form.And(form.Eq(form.Var("a"), form.Var("b")), form.Eq(form.Var("b"), form.Var("c"))),
+		Actions: []spec.Action{
+			{Name: "Load", Def: form.And(
+				form.Exists("$w", vals, form.Eq(form.PrimedVar("a"), form.Var("$w"))),
+				form.Unchanged("b", "c"))},
+			{Name: "ShiftB", Def: form.And(form.Eq(form.PrimedVar("b"), form.Var("a")), form.Unchanged("a", "c"))},
+			{Name: "ShiftC", Def: form.And(form.Eq(form.PrimedVar("c"), form.Var("b")), form.Unchanged("a", "b"))},
+		},
+	}
+	return &System{
+		Name:       "shift",
+		Components: []*spec.Component{comp},
+		Domains:    map[string][]value.Value{"a": vals, "b": vals, "c": vals},
+		Reduce: &reduce.Config{
+			Options:  reduce.Options{Sym: true},
+			Symmetry: &reduce.Symmetry{Values: vals, Vars: []string{"a", "b", "c"}},
+		},
+	}
+}
+
+// TestReductionMetricsExported checks that a symmetry-reduced build lands
+// the reduce counters in the registry, and that the expansion tallies equal
+// the committed rows and edges of the graph — less, on a resumed build, the
+// rows and edges its checkpoint restored without expanding.
 func TestReductionMetricsExported(t *testing.T) {
 	m, _, reg := telemetryMeter()
-	sys := pairSystem(4)
+	sys := shiftSystem()
 	sys.Workers = 2
-	sys.Reduce = &reduce.Config{Options: reduce.Options{POR: true}}
-	if _, err := sys.BuildWith(m); err != nil {
+	g, err := sys.BuildWith(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ample, okA := snapshotValue(reg, "opentla_reduce_ample_states_total")
-	full, okF := snapshotValue(reg, "opentla_reduce_full_states_total")
-	if !okA || !okF {
-		t.Fatalf("reduce counters not registered (ample=%v full=%v)", okA, okF)
+	if g.NumStates() != 5 || !g.Reduced() {
+		t.Fatalf("reduced graph has %d states (reduced=%v), want 5 orbits", g.NumStates(), g.Reduced())
 	}
-	if ample+full == 0 {
-		t.Errorf("a POR build must classify every expanded state: ample=%d full=%d", ample, full)
+	for name, want := range map[string]int64{
+		"opentla_reduce_full_states_total": int64(g.NumStates()),
+		"opentla_reduce_full_succs_total":  int64(g.NumEdges()),
+	} {
+		if got, ok := snapshotValue(reg, name); !ok || got != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, want)
+		}
+	}
+	if v, ok := snapshotValue(reg, "opentla_reduce_sym_collapsed_total"); !ok || v == 0 {
+		t.Errorf("opentla_reduce_sym_collapsed_total = %d (registered %v), want > 0", v, ok)
+	}
+
+	c := newMemCache()
+	interrupted := shiftSystem()
+	interrupted.Cache = c
+	if _, err := interrupted.BuildWith(engine.Budget{MaxStates: 2}.Meter()); err == nil {
+		t.Fatal("budgeted build completed; want exhaustion with a checkpoint")
+	}
+	desc, _ := interrupted.CanonicalDesc()
+	ck := c.ckpts[desc]
+	if ck == nil || ck.Rows() == 0 {
+		t.Fatalf("exhaustion saved no checkpoint with committed rows: %+v", ck)
+	}
+	m, _, reg = telemetryMeter()
+	resumed := shiftSystem()
+	resumed.Cache, resumed.Resume = c, true
+	g, err = resumed.BuildWith(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"opentla_reduce_full_states_total": int64(g.NumStates() - ck.Rows()),
+		"opentla_reduce_full_succs_total":  int64(g.NumEdges() - len(ck.Targets)),
+	} {
+		if got, ok := snapshotValue(reg, name); !ok || got != want {
+			t.Errorf("resumed %s = %d (registered %v), want %d", name, got, ok, want)
+		}
 	}
 }
 

@@ -98,8 +98,8 @@ func subset(names []string, set map[string]bool) bool {
 
 // parseDisjoint decomposes a step constraint into disjuncts that each
 // freeze a set of variables, returning the frozen set per disjunct. The
-// analysis is shared with the POR planner — vet and reduce must agree on
-// what counts as a Disjoint shape, so both delegate to reduce.ParseDisjoint.
+// grammar lives in reduce.ParseDisjoint, the single shared reading of the
+// Disjoint hypothesis.
 func parseDisjoint(e form.Expr) ([]map[string]bool, bool) {
 	return reduce.ParseDisjoint(e)
 }
