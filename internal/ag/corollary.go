@@ -2,7 +2,6 @@ package ag
 
 import (
 	"fmt"
-	"sort"
 
 	"opentla/internal/check"
 	"opentla/internal/engine"
@@ -53,27 +52,7 @@ func (rf *Refinement) plusSub() form.Expr {
 	if rf.PlusSub != nil {
 		return rf.PlusSub
 	}
-	set := make(map[string]bool)
-	add := func(c *spec.Component) {
-		if c == nil {
-			return
-		}
-		for _, v := range c.Inputs {
-			set[v] = true
-		}
-		for _, v := range c.Outputs {
-			set[v] = true
-		}
-	}
-	add(rf.Env)
-	add(rf.Low)
-	add(rf.High)
-	vars := make([]string, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return form.VarTuple(vars...)
+	return visibleTuple(nil, rf.Env, rf.Low, rf.High)
 }
 
 // Check discharges both hypotheses of the Corollary, without resource
@@ -112,70 +91,50 @@ func (rf *Refinement) checkBoth(r *Report, m *engine.Meter) error {
 	return rf.checkHypB(r, m)
 }
 
-// checkHypA discharges (a) E+v ∧ C(M') ⇒ C(M), via the +v monitor product
-// over the graph of C(M') with environment variables unconstrained.
-func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "hyp-a")()
-	baseSys := &ts.System{
-		Name:       rf.Name + "/low-closure",
-		Components: []*spec.Component{rf.Low.SafetyOnly()},
+// system assembles comps into a transition system under the refinement's
+// domains and resource settings.
+func (rf *Refinement) system(name string, comps ...*spec.Component) *ts.System {
+	return &ts.System{
+		Name:       rf.Name + "/" + name,
+		Components: comps,
 		Domains:    rf.Domains,
 		MaxStates:  rf.MaxStates,
 		Workers:    rf.Workers,
 		Cache:      rf.Cache,
 		Resume:     rf.Resume,
 	}
-	baseG, err := baseSys.BuildWith(m)
-	if err != nil {
-		return fmt.Errorf("refinement %s: building C(M') graph: %w", rf.Name, err)
-	}
-	r.noteStates(baseG.NumStates())
-	var envInit form.Expr
-	var envSquares []form.Expr
-	if rf.Env != nil {
-		envInit = rf.Env.Init
-		envSquares = []form.Expr{rf.Env.SquareExpr()}
-	}
-	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, rf.plusSub())})
-	if err != nil {
-		return fmt.Errorf("refinement %s: +v product: %w", rf.Name, err)
-	}
-	r.noteStates(prod.NumStates())
-	resA, err := check.SafetyUnder(prod, rf.High.SafetyOnly().SafetyFormula(), rf.Mapping)
-	if err != nil {
-		return fmt.Errorf("refinement %s hypothesis (a): %w", rf.Name, err)
-	}
-	r.add("(a): E+v /\\ C(M') => C(M)", resA.Holds, resA.String())
-	return nil
+}
+
+// checkHypA discharges (a) E+v ∧ C(M') ⇒ C(M), via the +v monitor product
+// over the graph of C(M') with environment variables unconstrained.
+func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
+	defer obs.SpanFromMeter(m, "hyp-a")()
+	return withGraph(r, m, rf.system("low-closure", rf.Low.SafetyOnly()), func(r *Report, baseG *ts.Graph) error {
+		resA, err := plusCheck(r, baseG, rf.Env, rf.plusSub(), rf.High, rf.Mapping)
+		if err != nil {
+			return fmt.Errorf("refinement %s hypothesis (a): %w", rf.Name, err)
+		}
+		r.add("(a): E+v /\\ C(M') => C(M)", resA.Holds, resA.String())
+		return nil
+	})
 }
 
 // checkHypB discharges (b) E ∧ M' ⇒ M with fairness.
 func (rf *Refinement) checkHypB(r *Report, m *engine.Meter) error {
 	defer obs.SpanFromMeter(m, "hyp-b")()
-	fullSys := &ts.System{
-		Name:       rf.Name + "/full",
-		Components: []*spec.Component{rf.Low},
-		Domains:    rf.Domains,
-		MaxStates:  rf.MaxStates,
-		Workers:    rf.Workers,
-		Cache:      rf.Cache,
-		Resume:     rf.Resume,
-	}
+	comps := []*spec.Component{rf.Low}
 	if rf.Env != nil {
-		fullSys.Components = append([]*spec.Component{rf.Env}, fullSys.Components...)
+		comps = append([]*spec.Component{rf.Env}, comps...)
 	}
-	fullG, err := fullSys.BuildWith(m)
-	if err != nil {
-		return fmt.Errorf("refinement %s: building full graph: %w", rf.Name, err)
-	}
-	r.noteStates(fullG.NumStates())
-	resB, err := check.Component(fullG, rf.High, rf.Mapping)
-	if err != nil {
-		return fmt.Errorf("refinement %s hypothesis (b): %w", rf.Name, err)
-	}
-	r.add("(b): E /\\ M' => M (safety)", resB.Safety == nil || resB.Safety.Holds, safeString(resB.Safety))
-	if resB.Liveness != nil {
-		r.add("(b): E /\\ M' => M (liveness)", resB.Liveness.Holds, resB.Liveness.String())
-	}
-	return nil
+	return withGraph(r, m, rf.system("full", comps...), func(r *Report, fullG *ts.Graph) error {
+		resB, err := check.Component(fullG, rf.High, rf.Mapping)
+		if err != nil {
+			return fmt.Errorf("refinement %s hypothesis (b): %w", rf.Name, err)
+		}
+		r.add("(b): E /\\ M' => M (safety)", resB.Safety == nil || resB.Safety.Holds, safeString(resB.Safety))
+		if resB.Liveness != nil {
+			r.add("(b): E /\\ M' => M (liveness)", resB.Liveness.Holds, resB.Liveness.String())
+		}
+		return nil
+	})
 }

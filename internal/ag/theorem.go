@@ -14,7 +14,7 @@ package ag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"opentla/internal/check"
@@ -90,12 +90,12 @@ type Theorem struct {
 	// builds from their saved checkpoints.
 	Resume bool
 	// Reduce selects symmetry reduction for the safety-only graphs of the
-	// check — the closure LHS, the guarantees-only graph, and the +v
-	// monitor base. Hypothesis 2b needs fairness, so its full graph is
-	// never reduced. A symmetry group the system or properties do not
-	// respect is disabled with a flight-recorder note rather than erroring:
-	// reduction is an optimization, and the verdict is identical either
-	// way.
+	// check: the closure graph, read by hypotheses 1 and 2a(i), and the
+	// guarantees graph, base of 2a's side conditions and +v product.
+	// Hypothesis 2b needs fairness, so its graph is never reduced; without
+	// reduction it serves 1 and 2a(i) too. A symmetry group the system or
+	// properties do not respect is disabled with a flight-recorder note
+	// rather than erroring: the verdict is identical either way.
 	Reduce reduce.Options
 	// Symmetry declares the permutation group for Reduce.Sym.
 	Symmetry *reduce.Symmetry
@@ -199,45 +199,33 @@ func (r *Report) add(name string, holds bool, detail string) {
 	}
 }
 
-// visibleVars returns the non-internal variables of the whole composition,
-// the default subscript of the C(E)+v hypothesis.
-func (th *Theorem) visibleVars() []string {
-	set := make(map[string]bool)
-	addComp := func(c *spec.Component) {
-		if c == nil {
-			return
-		}
-		for _, v := range c.Inputs {
-			set[v] = true
-		}
-		for _, v := range c.Outputs {
-			set[v] = true
-		}
-	}
-	for _, p := range th.Pairs {
-		addComp(p.Env)
-		addComp(p.Sys)
-		for _, sc := range p.Constraints {
-			for _, v := range form.AllVars(sc.Action) {
-				set[v] = true
-			}
-		}
-	}
-	addComp(th.Concl.Env)
-	addComp(th.Concl.Sys)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
+// plusSub is the subscript v of the C(E)+v hypothesis: by default the
+// non-internal variables of the whole composition.
 func (th *Theorem) plusSub() form.Expr {
 	if th.Concl.PlusSub != nil {
 		return th.Concl.PlusSub
 	}
-	return form.VarTuple(th.visibleVars()...)
+	comps := []*spec.Component{th.Concl.Env, th.Concl.Sys}
+	var constrained []string
+	for _, p := range th.Pairs {
+		comps = append(comps, p.Env, p.Sys)
+		for _, sc := range p.Constraints {
+			constrained = append(constrained, form.AllVars(sc.Action)...)
+		}
+	}
+	return visibleTuple(constrained, comps...)
+}
+
+// visibleTuple is the sorted tuple of vars and the inputs and outputs of
+// comps (nil entries skipped), each variable once.
+func visibleTuple(vars []string, comps ...*spec.Component) form.Expr {
+	for _, c := range comps {
+		if c != nil {
+			vars = append(append(vars, c.Inputs...), c.Outputs...)
+		}
+	}
+	slices.Sort(vars)
+	return form.VarTuple(slices.Compact(vars)...)
 }
 
 // guaranteeComponents returns the Sys components of all pairs, optionally
@@ -434,44 +422,77 @@ func (th *Theorem) Check() (*Report, error) {
 // cancellation, and contained internal failures yield a Report with an
 // Unknown verdict and partial statistics instead of an error.
 func (th *Theorem) CheckWith(m *engine.Meter) (*Report, error) {
+	return th.run(m, th.Name, th.checkAll)
+}
+
+// run validates the theorem, resolves its reduction, and runs body under m
+// inside the theorem's span, settling the verdict of the report it fills.
+func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine.Meter) error) (*Report, error) {
 	if err := th.validate(); err != nil {
 		return nil, err
 	}
 	end := obs.SpanFromMeter(m, "theorem:"+th.Name)
 	th.rd = th.buildReduce(m)
-	r := &Report{TheoremName: th.Name, Valid: true}
-	err := th.checkAll(r, m)
+	r := &Report{TheoremName: title, Valid: true}
+	err := body(r, m)
 	end()
 	return finishReport(r, m, err)
 }
 
 // checkAll runs every hypothesis check, accumulating results into r.
+//
+// The check is graph-major: each graph is built once, every hypothesis
+// that reads it runs while it is live, and it is dropped before the next
+// one is built. (1) and 2a(i) are about C(E) ∧ ⋀C(M_j) and (2b) about
+// E ∧ ⋀M_j: the same initial states and steps, since fairness changes
+// which behaviours count, not which states are reachable, so one graph
+// built with fairness serves all three. Under symmetry reduction (1) and
+// 2a(i) read the reduced closure graph instead, dropped before (2b)'s
+// unreduced one is built (fair-lasso search refuses reduced graphs). The
+// guarantees graph ⋀C(M_j), environment unconstrained, serves 2a's side
+// conditions and its +v monitor product.
+//
+// (2b) is decided before 2a's side conditions, so its results go to their
+// own slot, appended last to keep the report in hypothesis order; a partial
+// report lists the hypotheses decided before the check stopped.
 func (th *Theorem) checkAll(r *Report, m *engine.Meter) error {
-	// --- Graph of C(E) ∧ ⋀ C(M_j): used by hypotheses (1) and 2a-route-A.
-	closedSys := th.lhsSystem(th.Name+"/closure-lhs", true, true)
-	closedG, err := closedSys.BuildWith(m)
+	var h2b Report
+	defer func() {
+		for _, h := range h2b.Hypotheses {
+			r.add(h.Name, h.Holds, h.Detail)
+		}
+	}()
+	hyp2b := func(_ *Report, g *ts.Graph) error { return th.checkHyp2b(&h2b, g) }
+	envSys := th.lhsSystem(th.Name+"/full-lhs", true, false)
+	var err error
+	if th.rd == nil {
+		err = withGraph(r, m, envSys, th.checkHyp1, th.checkHyp2aClosure, hyp2b)
+	} else {
+		err = withGraph(r, m, th.lhsSystem(th.Name+"/closure-lhs", true, true), th.checkHyp1, th.checkHyp2aClosure)
+		if err == nil {
+			err = withGraph(r, m, envSys, hyp2b)
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("building closure LHS graph: %w", err)
-	}
-	r.noteStates(closedG.NumStates())
-
-	// Hypothesis (1): each assumption is implied.
-	if err := th.checkHyp1(r, m, closedG); err != nil {
 		return err
 	}
+	return withGraph(r, m, th.lhsSystem(th.Name+"/guarantees-only", false, true), th.checkHyp2aSide, th.checkHyp2aDirect)
+}
 
-	// Hypothesis (2a), route A (Propositions 3 + 4).
-	if err := th.checkHyp2aViaPropositions(r, closedG); err != nil {
-		return err
+// withGraph builds sys under m, notes its size in r, and runs each check on
+// the graph in turn. The graph is unreachable once withGraph returns.
+func withGraph(r *Report, m *engine.Meter, sys *ts.System, checks ...func(*Report, *ts.Graph) error) error {
+	g, err := sys.BuildWith(m)
+	if err != nil {
+		return fmt.Errorf("building %s graph: %w", sys.Name, err)
 	}
-
-	// Hypothesis (2a), route B (direct +v monitor product).
-	if err := th.checkHyp2aDirect(r, m); err != nil {
-		return err
+	r.noteStates(g.NumStates())
+	for _, fn := range checks {
+		if err := fn(r, g); err != nil {
+			return err
+		}
 	}
-
-	// Hypothesis (2b): full implication with fairness.
-	return th.checkHyp2b(r, m)
+	return nil
 }
 
 func (r *Report) noteStates(n int) {
@@ -482,14 +503,14 @@ func (r *Report) noteStates(n int) {
 
 // checkHyp1 discharges hypothesis (1) for every pair: each assumption is
 // implied by the closure of the environment-constrained composition.
-func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, closedG *ts.Graph) error {
-	defer obs.SpanFromMeter(m, "H1")()
+func (th *Theorem) checkHyp1(r *Report, envG *ts.Graph) error {
+	defer obs.SpanFromMeter(envG.Meter(), "H1")()
 	for _, p := range th.Pairs {
 		if p.Env == nil {
 			r.add(fmt.Sprintf("H1[%s]: C(E) /\\ conj C(Mj) => TRUE", p.Name), true, "trivial (E_i = TRUE)")
 			continue
 		}
-		res, err := check.Safety(closedG, p.Env.SafetyFormula())
+		res, err := check.Safety(envG, p.Env.SafetyFormula())
 		if err != nil {
 			return fmt.Errorf("hypothesis 1 for %s: %w", p.Name, err)
 		}
@@ -502,62 +523,46 @@ func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, closedG *ts.Graph) erro
 // paper's Proposition 3+4 route. Exposed for the ablation benchmark
 // comparing the two 2a routes.
 func (th *Theorem) CheckHyp2aPropositionsOnly() (*Report, error) {
-	if err := th.validate(); err != nil {
-		return nil, err
-	}
-	m := engine.NoLimit()
-	th.rd = th.buildReduce(m)
-	r := &Report{TheoremName: th.Name + " (2a via Props 3+4)", Valid: true}
-	return finishReport(r, m, func() error {
-		closedSys := th.lhsSystem(th.Name+"/closure-lhs", true, true)
-		closedG, err := closedSys.BuildWith(m)
-		if err != nil {
+	return th.run(engine.NoLimit(), th.Name+" (2a via Props 3+4)", func(r *Report, m *engine.Meter) error {
+		if err := withGraph(r, m, th.lhsSystem(th.Name+"/closure-lhs", true, true), th.checkHyp2aClosure); err != nil {
 			return err
 		}
-		r.noteStates(closedG.NumStates())
-		return th.checkHyp2aViaPropositions(r, closedG)
-	}())
+		return withGraph(r, m, th.lhsSystem(th.Name+"/guarantees-only", false, true), th.checkHyp2aSide)
+	})
 }
 
 // CheckHyp2aDirectOnly discharges only hypothesis 2a, with the direct +v
 // monitor product. Exposed for the ablation benchmark.
 func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
-	if err := th.validate(); err != nil {
-		return nil, err
-	}
-	m := engine.NoLimit()
-	th.rd = th.buildReduce(m)
-	r := &Report{TheoremName: th.Name + " (2a direct)", Valid: true}
-	return finishReport(r, m, th.checkHyp2aDirect(r, m))
+	return th.run(engine.NoLimit(), th.Name+" (2a direct)", func(r *Report, m *engine.Meter) error {
+		return withGraph(r, m, th.lhsSystem(th.Name+"/guarantees-only", false, true), th.checkHyp2aDirect)
+	})
 }
 
-// checkHyp2aViaPropositions discharges 2a along the paper's route:
+// checkHyp2aClosure and checkHyp2aSide discharge 2a along the paper's route:
 //
 //	(i)  ⊨ C(E) ∧ ⋀C(M_j) ⇒ C(M)                       (Fig. 9, step 2.2)
 //	(ii) ⋀C(M_j) ⇒ Disjoint(e, m) and the initial-state disjunction of
 //	     Proposition 4, giving ⋀C(M_j) ⇒ C(E) ⊥ C(M)   (Fig. 9, step 2.1)
 //	(iii) v contains every free variable of C(M)        (Prop. 3 side cond.)
 //
-// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M).
-func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) error {
-	defer obs.SpanFromMeter(closedG.Meter(), "H2a-A")()
-	m := th.Concl.Sys
-	// (i) plain closure implication on the env-constrained graph.
-	res, err := check.SafetyUnder(closedG, m.SafetyOnly().SafetyFormula(), th.Concl.Mapping)
+// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). checkHyp2aClosure
+// decides (i) on the environment-constrained graph.
+func (th *Theorem) checkHyp2aClosure(r *Report, envG *ts.Graph) error {
+	defer obs.SpanFromMeter(envG.Meter(), "H2a-A")()
+	res, err := check.SafetyUnder(envG, th.Concl.Sys.SafetyOnly().SafetyFormula(), th.Concl.Mapping)
 	if err != nil {
 		return fmt.Errorf("hypothesis 2a(i): %w", err)
 	}
 	r.add("H2a-A(i): C(E) /\\ conj C(Mj) => C(M)", res.Holds, res.String())
+	return nil
+}
 
-	// Graph of ⋀C(M_j) alone (environment unconstrained) for the side
-	// conditions, which must hold without assuming E. Shares the closure
-	// graph's meter so the whole check draws from one budget.
-	rSys := th.lhsSystem(th.Name+"/guarantees-only", false, true)
-	rG, err := rSys.BuildWith(closedG.Meter())
-	if err != nil {
-		return fmt.Errorf("building guarantees-only graph: %w", err)
-	}
-	r.noteStates(rG.NumStates())
+// checkHyp2aSide decides the side conditions (ii) and (iii) on the
+// guarantees graph, since they must hold without assuming E.
+func (th *Theorem) checkHyp2aSide(r *Report, rG *ts.Graph) error {
+	defer obs.SpanFromMeter(rG.Meter(), "H2a-A")()
+	m := th.Concl.Sys
 
 	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
 	// tuples (Proposition 4's interleaving requirement).
@@ -644,29 +649,9 @@ func (th *Theorem) conclusionGuaranteeFreeVars() []string {
 // ⋀C(M_j) with environment variables unconstrained; the monitor enforces
 // "C(E) held for a prefix, after which v froze"; C(M) is then checked on
 // the product.
-func (th *Theorem) checkHyp2aDirect(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "H2a-B")()
-	baseSys := th.lhsSystem(th.Name+"/plus-base", false, true)
-	baseG, err := baseSys.BuildWith(m)
-	if err != nil {
-		return fmt.Errorf("building +v base graph: %w", err)
-	}
-	r.noteStates(baseG.NumStates())
-
-	var envInit form.Expr
-	var envSquares []form.Expr
-	if th.Concl.Env != nil {
-		envInit = th.Concl.Env.Init
-		envSquares = []form.Expr{th.Concl.Env.SquareExpr()}
-	}
-	mon := ts.PlusMonitor(plusVar, envInit, envSquares, th.plusSub())
-	prod, err := ts.Product(baseG, []*ts.Monitor{mon})
-	if err != nil {
-		return fmt.Errorf("+v monitor product: %w", err)
-	}
-	r.noteStates(prod.NumStates())
-
-	res, err := check.SafetyUnder(prod, th.Concl.Sys.SafetyOnly().SafetyFormula(), th.Concl.Mapping)
+func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
+	defer obs.SpanFromMeter(baseG.Meter(), "H2a-B")()
+	res, err := plusCheck(r, baseG, th.Concl.Env, th.plusSub(), th.Concl.Sys, th.Concl.Mapping)
 	if err != nil {
 		return fmt.Errorf("hypothesis 2a (direct): %w", err)
 	}
@@ -674,16 +659,27 @@ func (th *Theorem) checkHyp2aDirect(r *Report, m *engine.Meter) error {
 	return nil
 }
 
-// checkHyp2b discharges ⊨ E ∧ ⋀M_j ⇒ M with fairness on both sides.
-func (th *Theorem) checkHyp2b(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "H2b")()
-	fullSys := th.lhsSystem(th.Name+"/full-lhs", true, false)
-	fullG, err := fullSys.BuildWith(m)
-	if err != nil {
-		return fmt.Errorf("building full LHS graph: %w", err)
+// plusCheck checks C(target), under the refinement mapping, on the product
+// of baseG with a monitor for env+sub (env nil means TRUE), noting the
+// product's size in r.
+func plusCheck(r *Report, baseG *ts.Graph, env *spec.Component, sub form.Expr, target *spec.Component, mapping map[string]form.Expr) (*check.SafetyResult, error) {
+	var envInit form.Expr
+	var envSquares []form.Expr
+	if env != nil {
+		envInit = env.Init
+		envSquares = []form.Expr{env.SquareExpr()}
 	}
-	r.noteStates(fullG.NumStates())
+	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, sub)})
+	if err != nil {
+		return nil, fmt.Errorf("+v monitor product: %w", err)
+	}
+	r.noteStates(prod.NumStates())
+	return check.SafetyUnder(prod, target.SafetyOnly().SafetyFormula(), mapping)
+}
 
+// checkHyp2b discharges ⊨ E ∧ ⋀M_j ⇒ M with fairness on both sides.
+func (th *Theorem) checkHyp2b(r *Report, fullG *ts.Graph) error {
+	defer obs.SpanFromMeter(fullG.Meter(), "H2b")()
 	res, err := check.Component(fullG, th.Concl.Sys, th.Concl.Mapping)
 	if err != nil {
 		return fmt.Errorf("hypothesis 2b: %w", err)

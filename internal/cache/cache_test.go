@@ -202,6 +202,58 @@ func TestCodecEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestCodecSharesEqualEdgeStates checks that decoding gives equal real
+// successors one shared state, and that the shared states encode to the
+// original bytes.
+func TestCodecSharesEqualEdgeStates(t *testing.T) {
+	s0 := state.FromPairs("x", value.Int(0), "y", value.Int(1))
+	s1 := state.FromPairs("x", value.Int(1), "y", value.Int(0))
+	succ := func(x, y int64) *state.State {
+		return state.FromPairs("x", value.Int(x), "y", value.Int(y))
+	}
+	snap := &ts.Snapshot{
+		Complete: true,
+		States:   []*state.State{s0, s1},
+		Inits:    []int{0},
+		Offsets:  []int{0, 3, 5},
+		Targets:  []int32{1, 1, 0, 1, 0},
+		// Edges 0, 1 and 3 carry equal but distinct real successors,
+		// edge 4 a different one, and edge 2 its target itself.
+		EdgeStates: []*state.State{succ(2, 2), succ(2, 2), s0, succ(2, 2), succ(3, 3)},
+	}
+	_, sum := Digest("shared-edges")
+	data, err := Encode(snap, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameSnapshot(snap, got); err != nil {
+		t.Fatal(err)
+	}
+	es := got.EdgeStates
+	for k, want := range snap.EdgeStates {
+		if !es[k].Equal(want) {
+			t.Errorf("edge %d: real successor %s, want %s", k, es[k], want)
+		}
+	}
+	if es[0] != es[1] || es[0] != es[3] {
+		t.Error("equal real successors of edges 0, 1 and 3 were not shared")
+	}
+	if es[4] == es[0] || es[2] != got.States[0] {
+		t.Error("distinct real successors were shared")
+	}
+	again, err := Encode(got, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Error("decode→encode with shared edge states does not reproduce the original bytes")
+	}
+}
+
 func TestCodecCheckpointRoundTrip(t *testing.T) {
 	full := buildSnapshot(t)
 	// Fake a checkpoint: only the first two rows committed.

@@ -33,7 +33,8 @@ import (
 // version 1, byte-identical to what earlier builds produced, so existing
 // cache entries stay valid and the resume-determinism byte comparison is
 // unaffected. Symmetry-reduced snapshots carry per-edge real successors and
-// are written as version 2; the decoder accepts both.
+// are written as version 2; the decoder accepts both, and gives equal real
+// successors one shared state.
 //
 // The encoding is fully deterministic: encoding the same snapshot always
 // yields the same bytes, so byte-comparing two snapshot files is a valid
@@ -245,6 +246,11 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 	}
 	if version == codecVersionEdges {
 		snap.EdgeStates = make([]*state.State, total)
+		// Many edges share one real successor. Decoding each into a state
+		// of its own made those copies most of a loaded reduced graph's
+		// memory, so equal ones share a single state (on a fingerprint
+		// collision the later state simply stays unshared).
+		shared := make(map[uint64]*state.State)
 		for k := range snap.EdgeStates {
 			marker, err := r.byte()
 			if err != nil {
@@ -265,7 +271,14 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 					}
 					binding[v] = val
 				}
-				snap.EdgeStates[k] = state.New(binding)
+				es := state.New(binding)
+				fp := es.Fingerprint()
+				if prev, ok := shared[fp]; !ok {
+					shared[fp] = es
+				} else if prev.Equal(es) {
+					es = prev
+				}
+				snap.EdgeStates[k] = es
 			default:
 				return nil, fmt.Errorf("edge %d has unknown marker %d", k, marker)
 			}

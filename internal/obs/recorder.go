@@ -223,7 +223,7 @@ func (r *Recorder) pushEvent(e Event) {
 	}
 }
 
-// pathLocked renders the open-span path ("run/theorem:X/H2b/build:full-lhs").
+// pathLocked renders the open-span path ("run/theorem:X/build:full-lhs").
 // Caller holds r.mu.
 func (r *Recorder) pathLocked() string {
 	path := ""

@@ -39,7 +39,7 @@ type Report struct {
 	Verdict       string `json:"verdict"`
 	UnknownReason string `json:"unknown_reason,omitempty"`
 	// ExhaustedPhase names the span path that was open when the budget
-	// latched ("run/theorem:X/H2b/build:..."), empty if it never did.
+	// latched ("run/theorem:X/build:..."), empty if it never did.
 	ExhaustedPhase string `json:"exhausted_phase,omitempty"`
 	// Stats is the final cumulative RunStats of the governing meter.
 	Stats Stats `json:"stats"`

@@ -1,12 +1,6 @@
 package reduce
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"opentla/internal/form"
-)
+import "opentla/internal/form"
 
 // ParseDisjoint decomposes a step constraint into disjuncts that each
 // freeze a set of variables, returning the frozen set per disjunct. It
@@ -16,8 +10,7 @@ import (
 //
 // This is the single shared reading of the paper's Disjoint hypothesis
 // (§2.3): the vet pre-check uses it to audit interleaving coverage
-// (SV020/SV021), and constraintNormal uses it to compare constraints up to
-// the argument reordering of a variable rename.
+// (SV020/SV021).
 func ParseDisjoint(e form.Expr) ([]map[string]bool, bool) {
 	var sets []map[string]bool
 	for _, leaf := range OrLeaves(e) {
@@ -98,77 +91,4 @@ func stutterEq(x form.CmpE) bool {
 		return true
 	}
 	return false
-}
-
-// disjointNormal renders a Disjoint-shaped constraint in rename-invariant
-// normal form: the sorted list of its sorted frozen-variable sets. Two
-// constraints that freeze the same variable sets normalize identically even
-// when a rename reordered the DisjointSteps arguments (UNCHANGED ⟨g1,g2⟩ vs
-// UNCHANGED ⟨g2,g1⟩).
-func disjointNormal(sets []map[string]bool) string {
-	lines := make([]string, len(sets))
-	for i, s := range sets {
-		names := make([]string, 0, len(s))
-		for n := range s {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		lines[i] = strings.Join(names, ",")
-	}
-	sort.Strings(lines)
-	return "disjoint{" + strings.Join(lines, "|") + "}"
-}
-
-// constraintNormal is the normal form used when comparing a constraint
-// under variable renames: Disjoint shapes normalize structurally, anything
-// else falls back to the commutativity-normalized rendering.
-func constraintNormal(e form.Expr) string {
-	if sets, ok := ParseDisjoint(e); ok {
-		return disjointNormal(sets)
-	}
-	return exprNormal(e)
-}
-
-// exprNormal renders e with the operand lists of commutative operators
-// (∧, ∨, =, ≠) sorted, so renamings that merely reorder operands compare
-// equal. Unknown node kinds fall back to the plain rendering.
-func exprNormal(e form.Expr) string {
-	if e == nil {
-		return "-"
-	}
-	switch x := e.(type) {
-	case form.AndE:
-		return "and(" + strings.Join(sortedNormals(x.Xs), ",") + ")"
-	case form.OrE:
-		return "or(" + strings.Join(sortedNormals(x.Xs), ",") + ")"
-	case form.NotE:
-		return "not(" + exprNormal(x.X) + ")"
-	case form.ImpliesE:
-		return "implies(" + exprNormal(x.A) + "," + exprNormal(x.B) + ")"
-	case form.EquivE:
-		return "equiv(" + strings.Join(sortedNormals([]form.Expr{x.A, x.B}), ",") + ")"
-	case form.CmpE:
-		if x.Op == form.OpEq || x.Op == form.OpNe {
-			return fmt.Sprintf("cmp%d(%s)", x.Op,
-				strings.Join(sortedNormals([]form.Expr{x.A, x.B}), ","))
-		}
-		return fmt.Sprintf("cmp%d(%s,%s)", x.Op, exprNormal(x.A), exprNormal(x.B))
-	case form.PrimeE:
-		return "prime(" + exprNormal(x.X) + ")"
-	case form.IfE:
-		return "if(" + exprNormal(x.C) + "," + exprNormal(x.T) + "," + exprNormal(x.E) + ")"
-	case form.QuantE:
-		return fmt.Sprintf("quant(%v,%s,%v,%s)", x.Exists, x.Name, x.Domain, exprNormal(x.Body))
-	default:
-		return e.String()
-	}
-}
-
-func sortedNormals(xs []form.Expr) []string {
-	out := make([]string, len(xs))
-	for i, c := range xs {
-		out[i] = exprNormal(c)
-	}
-	sort.Strings(out)
-	return out
 }
