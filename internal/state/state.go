@@ -198,10 +198,13 @@ func (s *State) CloneWith(groups ...[]PosUpdate) *State {
 
 // OverwriteInto copies s's bindings into dst (reusing its capacity), applies
 // the update groups, and invalidates dst's cached fingerprint. It exists so
-// successor enumeration can evaluate millions of candidate states against a
-// single scratch State instead of allocating one per candidate; dst must be
-// goroutine-local and must not escape while being reused — materialize an
-// accepted candidate with Clone.
+// successor enumeration, monitor products and Init enumeration can build
+// millions of candidate states in a single scratch State instead of
+// allocating one per candidate; dst must be goroutine-local and must not
+// escape while being reused. A scratch candidate may be evaluated,
+// fingerprinted and used as a lookup key (an equal state already stored is
+// then used in its place); only a candidate that is kept and not already
+// known is materialized, with Clone.
 func (s *State) OverwriteInto(dst *State, groups ...[]PosUpdate) {
 	if cap(dst.bindings) < len(s.bindings) {
 		dst.bindings = make([]binding, len(s.bindings))
@@ -218,7 +221,8 @@ func (s *State) OverwriteInto(dst *State, groups ...[]PosUpdate) {
 
 // Clone returns an immutable snapshot of s, preserving the cached
 // fingerprint. It materializes a scratch state (see OverwriteInto) into one
-// that may be shared and retained.
+// that may be shared and retained; explorers call it only for candidates
+// that no stored state equals.
 func (s *State) Clone() *State {
 	bs := make([]binding, len(s.bindings))
 	copy(bs, s.bindings)

@@ -12,7 +12,7 @@
 //     told a given state was new.
 //   - Index and Set: single-goroutine fingerprint-keyed id maps and
 //     membership sets for the sequential portions of the checker
-//     (successor dedup, generator audits, final graph lookup).
+//     (generator audits, final graph lookup, committed-state probes).
 //
 // All containers fall back to structural equality (state.Equal) when two
 // distinct states share a fingerprint, so a 64-bit collision can never
@@ -220,10 +220,11 @@ func Partition(fp uint64) int { return int(fp >> (64 - PartitionBits)) }
 // structural-equality collision verification. Buckets are sharded by
 // Partition(fingerprint): Puts within one partition must be serialized, but
 // Puts in distinct partitions may run concurrently (the parallel barrier of
-// package ts relies on this). Gets must not overlap Puts; once construction
-// pauses at a barrier, any number of goroutines may Get concurrently (the
-// monitor-product workers resolve base-state ids against the finished base
-// graph's index, and the frontier workers probe committed states mid-level).
+// package ts relies on this). Gets and Finds must not overlap Puts; once
+// construction pauses at a barrier, any number of goroutines may Get or
+// Find concurrently (the monitor-product workers resolve base-state ids
+// against the finished base graph's index, and the frontier workers probe
+// committed states mid-level).
 type Index struct {
 	hash   Hash
 	shards [NumPartitions]idxShard
@@ -285,6 +286,19 @@ func (ix *Index) Get(s *state.State) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Find returns the recorded state equal to s, or nil. Successor generation
+// probes the committed index with a scratch candidate through Find and
+// emits the recorded pointer instead of cloning a state already known.
+func (ix *Index) Find(s *state.State) *state.State {
+	fp := ix.hash(s)
+	for _, e := range ix.shards[Partition(fp)].buckets[fp] {
+		if e.st.Equal(s) {
+			return e.st
+		}
+	}
+	return nil
 }
 
 // Len returns the number of states in the index.

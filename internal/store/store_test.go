@@ -148,6 +148,26 @@ func TestIndexCollisions(t *testing.T) {
 	}
 }
 
+// TestIndexFind pins the committed-state probe: Find returns the recorded
+// pointer itself for an equal state, verifies colliding fingerprints
+// structurally, and misses with nil.
+func TestIndexFind(t *testing.T) {
+	ix := NewIndexWithHash(func(*state.State) uint64 { return 7 })
+	recorded := make([]*state.State, 5)
+	for i := range recorded {
+		recorded[i] = mkState(int64(i))
+		ix.Put(recorded[i], i)
+	}
+	for i, want := range recorded {
+		if got := ix.Find(mkState(int64(i))); got != want {
+			t.Errorf("Find(x=%d) = %p, want the recorded pointer %p", i, got, want)
+		}
+	}
+	if got := ix.Find(mkState(99)); got != nil {
+		t.Errorf("Find of an absent state = %v, want nil", got)
+	}
+}
+
 func TestSet(t *testing.T) {
 	se := NewSet()
 	if !se.Add(mkState(1)) {

@@ -33,8 +33,14 @@ type exploreParams struct {
 	// inits seeds the exploration, in a deterministic order.
 	inits []*state.State
 	// expand returns the successor states of s (duplicates allowed; the
-	// store dedups). Successor order must be deterministic in s.
-	expand func(s *state.State) ([]*state.State, error)
+	// store dedups). Successor order must be deterministic in s. known is a
+	// read-only probe of the committed index (states numbered at earlier
+	// barriers): it returns the committed state equal to its argument, or
+	// nil. expand may build candidates in scratch, probe them, and return
+	// the committed pointer for a known one instead of a fresh copy, so the
+	// returned slice may hold committed pointers; everything it returns
+	// must be immutable from then on.
+	expand func(s *state.State, known func(*state.State) *state.State) ([]*state.State, error)
 	// canon, when non-nil, maps every state to the canonical representative
 	// of its symmetry orbit. Seeds and successors are canonicalized before
 	// interning, so the graph holds only representatives; the real (pre-
@@ -260,6 +266,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 		store:   interned,
 		scratch: make([]workerScratch, workers),
 		lookup:  res.idx.Get,
+		find:    res.idx.Find,
 		telem:   telem,
 	}
 
@@ -523,6 +530,11 @@ type levelRun struct {
 	// never overlapping a drain) and by the single-threaded seeding/resume
 	// paths, so reads from workers between barriers are race-free.
 	lookup func(*state.State) (int, bool)
+	// find is the same committed index's state probe, handed to expand so
+	// successor generation clones only states not yet committed; the
+	// drain's lookup then resolves a committed pointer through Equal's
+	// pointer fast path.
+	find func(*state.State) *state.State
 	// telem is the exploration's telemetry bundle (nil when disabled); level
 	// is the BFS level currently being drained, set by explore before begin
 	// and read by workers only for telemetry labels.
@@ -743,7 +755,7 @@ func (lv *levelRun) drain(wid int) {
 				lv.setErr(err)
 				return
 			}
-			succs, err := p.expand(cur)
+			succs, err := p.expand(cur, lv.find)
 			if err != nil {
 				lv.setErr(err)
 				return

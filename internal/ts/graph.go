@@ -108,7 +108,6 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	free := sys.FreeVars()
 
 	var inits []*state.State
 	if resume == nil {
@@ -128,8 +127,8 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		limitName: "system " + sys.Name,
 		meter:     m,
 		inits:     inits,
-		expand: func(s *state.State) ([]*state.State, error) {
-			return sys.successors(compiled, free, s)
+		expand: func(s *state.State, known func(*state.State) *state.State) ([]*state.State, error) {
+			return sys.successors(compiled, s, known)
 		},
 		canon:        canon,
 		resume:       resume,

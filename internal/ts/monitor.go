@@ -3,6 +3,7 @@ package ts
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"opentla/internal/engine"
 	"opentla/internal/form"
@@ -33,8 +34,18 @@ type Monitor struct {
 	Init func(s *state.State) ([]value.Value, error)
 	// Step returns the allowed next values given the base step and the
 	// current value (empty = edge disallowed for this value).
+	// The slices Init and Step return are read-only to Product, so a
+	// monitor may return shared ones.
 	Step func(st state.Step, cur value.Value) ([]value.Value, error)
 }
+
+// Shared monitor results for the Boolean monitors; Product never writes
+// into them, so one slice serves every call.
+var (
+	onlyTrue    = []value.Value{value.True}
+	onlyFalse   = []value.Value{value.False}
+	trueOrFalse = []value.Value{value.True, value.False}
+)
 
 // Product runs the monitors in lockstep with the graph and returns the
 // product graph. Product states extend base states with the monitor
@@ -68,7 +79,12 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	// successor. Monitors always evaluate on genuine base steps — the base
 	// edge's real successor — never on representative-to-representative
 	// pseudo-steps.
-	pcanon := productCanon(g, mons)
+	//
+	// Product candidates, and the canonical forms of product states, are
+	// built positionally in per-expansion scratch from one layout computed
+	// here; only states not already known are cloned.
+	lay := newProductLayout(g, mons)
+	pcanon := productCanon(g, lay)
 
 	// Products are cached like base graphs, keyed by the base system's
 	// description extended with the monitors' semantic descriptions. A
@@ -102,23 +118,31 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	// unlike an empty base graph.
 	var inits []*state.State
 	if resumeSnap == nil {
+		sc := lay.newScratch()
 		for _, bid := range g.Inits {
 			base := g.States[bid]
-			combos, err := monitorInitCombos(mons, base)
-			if err != nil {
-				return nil, err
+			allowed := true
+			for j, m := range mons {
+				vals, err := m.Init(base)
+				if err != nil {
+					return nil, fmt.Errorf("monitor %s init on %s: %w", m.Var, base, err)
+				}
+				if len(vals) == 0 {
+					allowed = false
+					break
+				}
+				sc.vals[j] = vals
 			}
-			for _, combo := range combos {
-				inits = append(inits, base.WithAll(combo))
+			if allowed {
+				lay.each(sc, base, func(p *state.State) { inits = append(inits, p.Clone()) })
 			}
 		}
 	}
 
 	// The base id of a product state is recoverable from the state itself:
-	// stripping the monitor variables yields the base state, which the base
-	// graph's fingerprint index resolves. This replaces the baseOf side
-	// table of the sequential implementation and keeps expansion stateless,
-	// hence safe for concurrent workers.
+	// its base positions, copied into a scratch base state, resolve through
+	// the base graph's fingerprint index. Expansion keeps no side table and
+	// is safe for concurrent workers.
 	res, err := explore(exploreParams{
 		op:        "ts.Product",
 		workers:   g.Sys.Workers,
@@ -126,24 +150,39 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		limitName: "monitor product",
 		meter:     meter,
 		inits:     inits,
-		expand: func(cur *state.State) ([]*state.State, error) {
-			base := BaseState(cur, mons)
-			bid := g.ID(base)
+		expand: func(cur *state.State, known func(*state.State) *state.State) ([]*state.State, error) {
+			if cur.Len() != lay.tmpl.Len() {
+				return nil, fmt.Errorf("ts.Product: product state %s does not match the product layout", cur)
+			}
+			sc := lay.getScratch()
+			defer lay.scratch.Put(sc)
+			lay.baseOf(sc, cur)
+			bid := g.ID(sc.base)
 			if bid < 0 {
-				return nil, fmt.Errorf("ts.Product: base state %s not in base graph", base)
+				return nil, fmt.Errorf("ts.Product: base state %s not in base graph", sc.base)
 			}
 			var out []*state.State
 			var expErr error
-			g.ForEachSuccStep(bid, func(tbid int, real *state.State) bool {
+			g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
 				baseStep := state.Step{From: g.States[bid], To: real}
-				combos, cerr := monitorStepCombos(mons, baseStep, cur)
-				if cerr != nil {
-					expErr = cerr
-					return false
+				for j, m := range mons {
+					vals, err := m.Step(baseStep, cur.At(lay.monPos[j]))
+					if err != nil {
+						expErr = fmt.Errorf("monitor %s step on %s: %w", m.Var, baseStep, err)
+						return false
+					}
+					if len(vals) == 0 {
+						return true // edge disallowed for every combination
+					}
+					sc.vals[j] = vals
 				}
-				for _, combo := range combos {
-					out = append(out, real.WithAll(combo))
-				}
+				lay.each(sc, real, func(p *state.State) {
+					t := known(p)
+					if t == nil {
+						t = p.Clone()
+					}
+					out = append(out, t)
+				})
 				return true
 			})
 			if expErr != nil {
@@ -182,90 +221,125 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 // states: the base part is canonicalized, the monitor bindings ride along
 // unchanged. Returns nil when the base graph has no canonicalizer. Like
 // every canon function, it returns its argument pointer when the state is
-// already canonical.
-func productCanon(g *Graph, mons []*Monitor) func(*state.State) *state.State {
+// already canonical, which it decides on a scratch copy of the base part
+// without allocating.
+func productCanon(g *Graph, lay *productLayout) func(*state.State) *state.State {
 	if g.canon == nil {
 		return nil
 	}
-	names := make([]string, len(mons))
-	for i, m := range mons {
-		names[i] = m.Var
-	}
 	return func(s *state.State) *state.State {
-		base := s.Drop(names)
-		c := g.canon(base)
-		if c == base {
+		sc := lay.getScratch()
+		defer lay.scratch.Put(sc)
+		lay.baseOf(sc, s)
+		c := g.canon(sc.base)
+		if c == sc.base {
 			return s
 		}
-		binds := make(map[string]value.Value, len(names))
-		for _, n := range names {
-			if v, ok := s.Get(n); ok {
-				binds[n] = v
-			}
+		for i, p := range lay.basePos {
+			sc.baseUps[i] = state.PosUpdate{Pos: p, Val: c.At(i)}
 		}
-		return c.WithAll(binds)
+		for j, p := range lay.monPos {
+			sc.monUps[j] = state.PosUpdate{Pos: p, Val: s.At(p)}
+		}
+		lay.tmpl.OverwriteInto(sc.prod, sc.baseUps, sc.monUps)
+		return sc.prod.Clone()
 	}
 }
 
-// BaseState strips monitor variables from a product state.
-func BaseState(s *state.State, mons []*Monitor) *state.State {
-	names := make([]string, len(mons))
-	for i, m := range mons {
-		names[i] = m.Var
-	}
-	return s.Drop(names)
+// productLayout places the base and monitor variables of a product in the
+// product states' sorted binding order. Product computes it once; every
+// candidate is then built by OverwriteInto from tmpl, with no map, sort or
+// per-combination state.
+type productLayout struct {
+	base    *state.State // a base state: the template of base scratch states
+	tmpl    *state.State // a product state: the template of candidates
+	basePos []int        // product position of each base position
+	monPos  []int        // product position of each monitor variable
+	// scratch recycles expansion scratch (*productScratch) across
+	// expansions and workers.
+	scratch sync.Pool
 }
 
-func monitorInitCombos(mons []*Monitor, base *state.State) ([]map[string]value.Value, error) {
-	combos := []map[string]value.Value{{}}
+func newProductLayout(g *Graph, mons []*Monitor) *productLayout {
+	base := state.New(nil)
+	if len(g.States) > 0 {
+		base = g.States[0]
+	}
+	zero := make(map[string]value.Value, len(mons))
 	for _, m := range mons {
-		vals, err := m.Init(base)
-		if err != nil {
-			return nil, fmt.Errorf("monitor %s init on %s: %w", m.Var, base, err)
-		}
-		combos = extendCombos(combos, m.Var, vals)
-		if len(combos) == 0 {
-			return nil, nil
-		}
+		zero[m.Var] = value.Value{}
 	}
-	return combos, nil
-}
-
-func monitorStepCombos(mons []*Monitor, st state.Step, cur *state.State) ([]map[string]value.Value, error) {
-	combos := []map[string]value.Value{{}}
+	l := &productLayout{base: base, tmpl: base.WithAll(zero)}
+	for _, v := range base.Vars() {
+		p, _ := l.tmpl.PosOf(v)
+		l.basePos = append(l.basePos, p)
+	}
 	for _, m := range mons {
-		curVal, ok := cur.Get(m.Var)
-		if !ok {
-			return nil, fmt.Errorf("monitor %s: variable missing from product state %s", m.Var, cur)
-		}
-		vals, err := m.Step(st, curVal)
-		if err != nil {
-			return nil, fmt.Errorf("monitor %s step on %s: %w", m.Var, st, err)
-		}
-		combos = extendCombos(combos, m.Var, vals)
-		if len(combos) == 0 {
-			return nil, nil
-		}
+		p, _ := l.tmpl.PosOf(m.Var)
+		l.monPos = append(l.monPos, p)
 	}
-	return combos, nil
+	return l
 }
 
-func extendCombos(combos []map[string]value.Value, name string, vals []value.Value) []map[string]value.Value {
-	if len(vals) == 0 {
-		return nil
+// productScratch is one expansion's scratch: the base and product states
+// candidates are built in, their update groups, and each monitor's allowed
+// values with the odometer digits over them.
+type productScratch struct {
+	base, prod      *state.State
+	baseUps, monUps []state.PosUpdate
+	vals            [][]value.Value
+	digits          []int
+}
+
+func (l *productLayout) newScratch() *productScratch {
+	return &productScratch{
+		base:    l.base.Clone(),
+		prod:    l.tmpl.Clone(),
+		baseUps: make([]state.PosUpdate, len(l.basePos)),
+		monUps:  make([]state.PosUpdate, len(l.monPos)),
+		vals:    make([][]value.Value, len(l.monPos)),
+		digits:  make([]int, len(l.monPos)),
 	}
-	out := make([]map[string]value.Value, 0, len(combos)*len(vals))
-	for _, c := range combos {
-		for _, v := range vals {
-			n := make(map[string]value.Value, len(c)+1)
-			for k, vv := range c {
-				n[k] = vv
-			}
-			n[name] = v
-			out = append(out, n)
+}
+
+// getScratch takes expansion scratch from the pool; return it with
+// lay.scratch.Put.
+func (l *productLayout) getScratch() *productScratch {
+	if sc, ok := l.scratch.Get().(*productScratch); ok {
+		return sc
+	}
+	return l.newScratch()
+}
+
+// baseOf writes the base part of product state cur into sc.base.
+func (l *productLayout) baseOf(sc *productScratch, cur *state.State) {
+	for i, p := range l.basePos {
+		sc.baseUps[i] = state.PosUpdate{Pos: i, Val: cur.At(p)}
+	}
+	l.base.OverwriteInto(sc.base, sc.baseUps)
+}
+
+// each builds in sc.prod every product state extending base state b by one
+// allowed value per monitor (sc.vals, all nonempty) and passes it to f,
+// which must clone what it keeps. The last monitor varies fastest: product
+// numbering depends on this order.
+func (l *productLayout) each(sc *productScratch, b *state.State, f func(*state.State)) {
+	for i, p := range l.basePos {
+		sc.baseUps[i] = state.PosUpdate{Pos: p, Val: b.At(i)}
+	}
+	for j := range sc.digits {
+		sc.digits[j] = 0
+	}
+	for {
+		for j, p := range l.monPos {
+			sc.monUps[j] = state.PosUpdate{Pos: p, Val: sc.vals[j][sc.digits[j]]}
+		}
+		l.tmpl.OverwriteInto(sc.prod, sc.baseUps, sc.monUps)
+		f(sc.prod)
+		if !nextAssignment(sc.digits, sc.vals) {
+			return
 		}
 	}
-	return out
 }
 
 // monitorDesc renders the canonical description of a constructor-built
@@ -331,14 +405,14 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict b
 				}
 			}
 			if ok {
-				return []value.Value{value.True}, nil
+				return onlyTrue, nil
 			}
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
 			alive, _ := cur.AsBool()
 			if !alive {
-				return []value.Value{value.False}, nil
+				return onlyFalse, nil
 			}
 			ok := true
 			for _, sq := range sqPreds {
@@ -353,11 +427,11 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict b
 			}
 			if ok {
 				if strict {
-					return []value.Value{value.True}, nil
+					return onlyTrue, nil
 				}
-				return []value.Value{value.True, value.False}, nil
+				return trueOrFalse, nil
 			}
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 	}
 }
@@ -392,9 +466,9 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 			}
 			if ok {
 				// May start alive, or immediately frozen (n = 0).
-				return []value.Value{value.True, value.False}, nil
+				return trueOrFalse, nil
 			}
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
 			alive, _ := cur.AsBool()
@@ -404,7 +478,7 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 					return nil, err
 				}
 				if frozen {
-					return []value.Value{value.False}, nil
+					return onlyFalse, nil
 				}
 				return nil, nil // v changed after freezing: edge disallowed
 			}
@@ -422,10 +496,10 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 			if ok {
 				// Stay alive, or die with freezing starting at the target
 				// state (the dying step itself may change v).
-				return []value.Value{value.True, value.False}, nil
+				return trueOrFalse, nil
 			}
 			// E violated on this step: freezing starts at the target.
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 	}
 }

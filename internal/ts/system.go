@@ -13,14 +13,15 @@ package ts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"opentla/internal/engine"
 	"opentla/internal/form"
 	"opentla/internal/reduce"
 	"opentla/internal/spec"
 	"opentla/internal/state"
-	"opentla/internal/store"
 	"opentla/internal/value"
 )
 
@@ -171,29 +172,39 @@ type compiledComponent struct {
 }
 
 type compiledAction struct {
-	name   string
-	def    form.Expr
-	pred   form.CompiledPred // def compiled against the system layout
-	exec   spec.ExecFunc
-	primed []string // primed variables of def, for free-dependence analysis
+	name string
+	def  form.Expr
+	pred form.CompiledPred // def compiled against the system layout
+	exec spec.ExecFunc
+	// freeDep records whether def primes a free variable; when it does not,
+	// its verdict on a candidate step is the same under every free
+	// assignment and is cached per choice combination (see successors).
+	freeDep bool
 }
 
-// compiledConstraint is a step constraint with its primed variables
-// precomputed (see successors: a constraint whose primed variables avoid the
-// free set has the same verdict for every free assignment).
+// compiledConstraint is a step constraint compiled against the system
+// layout.
 type compiledConstraint struct {
 	name   string
 	action form.Expr
-	pred   form.CompiledPred // action compiled against the system layout
-	primed []string
+	pred   form.CompiledPred
 }
 
 // compiledSystem caches everything successor generation needs: per-component
-// actions with executable update generators, plus the step constraints.
-// It is immutable after compile and shared across exploration workers.
+// actions with executable update generators, the step constraints split by
+// free-dependence, and the free variables with their domains. It is
+// immutable after compile, apart from its scratch pool, and shared across
+// exploration workers.
 type compiledSystem struct {
-	comps       []compiledComponent
-	constraints []compiledConstraint
+	comps []compiledComponent
+	// consIndep prime no free variable (one verdict per choice combination);
+	// consDep are re-checked under every free assignment.
+	consIndep, consDep []*compiledConstraint
+	free               []string
+	freeDoms           [][]value.Value
+	// scratch recycles successors' per-expansion working memory
+	// (*succScratch) across expansions and workers.
+	scratch sync.Pool
 }
 
 func (sys *System) compile() (*compiledSystem, error) {
@@ -201,11 +212,27 @@ func (sys *System) compile() (*compiledSystem, error) {
 	// declarative definition against that layout once moves variable
 	// resolution and stutter-equality checks out of the per-candidate loop.
 	layout := sys.Vars()
-	cs := &compiledSystem{comps: make([]compiledComponent, len(sys.Components))}
+	free := sys.FreeVars()
+	freeSet := make(map[string]bool, len(free))
+	for _, v := range free {
+		freeSet[v] = true
+	}
+	primesFree := func(e form.Expr) bool {
+		for _, v := range form.PrimedVars(e) {
+			if freeSet[v] {
+				return true
+			}
+		}
+		return false
+	}
+	cs := &compiledSystem{comps: make([]compiledComponent, len(sys.Components)), free: free}
+	for _, v := range free {
+		cs.freeDoms = append(cs.freeDoms, sys.Domains[v])
+	}
 	for i, c := range sys.Components {
 		cc := compiledComponent{comp: c, owned: c.Owned()}
 		for _, a := range c.Actions {
-			ca := compiledAction{name: a.Name, def: a.Def, exec: a.Exec, primed: form.PrimedVars(a.Def)}
+			ca := compiledAction{name: a.Name, def: a.Def, exec: a.Exec, freeDep: primesFree(a.Def)}
 			if a.Def != nil {
 				ca.pred = form.CompilePred(a.Def, layout)
 			}
@@ -224,10 +251,12 @@ func (sys *System) compile() (*compiledSystem, error) {
 		cs.comps[i] = cc
 	}
 	for _, sc := range sys.Constraints {
-		cs.constraints = append(cs.constraints, compiledConstraint{
-			name: sc.Name, action: sc.Action, pred: form.CompilePred(sc.Action, layout),
-			primed: form.PrimedVars(sc.Action),
-		})
+		c := &compiledConstraint{name: sc.Name, action: sc.Action, pred: form.CompilePred(sc.Action, layout)}
+		if primesFree(sc.Action) {
+			cs.consDep = append(cs.consDep, c)
+		} else {
+			cs.consIndep = append(cs.consIndep, c)
+		}
 	}
 	return cs, nil
 }
@@ -281,45 +310,73 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 	for i, p := range preds {
 		compiled[i] = form.CompilePred(p, vars)
 	}
-	var out []*state.State
-	var evalErr error
-	value.ForEachAssignment(vars, sys.Domains, func(a map[string]value.Value) bool {
-		if err := m.Tick(); err != nil {
-			evalErr = err
-			return false
-		}
-		s := state.New(a)
-		for i, p := range compiled {
-			ok, err := p(state.Step{From: s})
-			if err != nil {
-				evalErr = fmt.Errorf("system %s: evaluating Init %s on %s: %w", sys.Name, preds[i], s, err)
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		out = append(out, s)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	// Odometer over layout positions into one scratch state: vars is
+	// sorted, so position i is vars[i], and the last variable varies
+	// fastest (value.ForEachAssignment's order, which fixes Inits order).
+	// Only assignments that satisfy Init are cloned out of the scratch.
+	doms := make([][]value.Value, len(vars))
+	digits := make([]int, len(vars))
+	asg := make([]state.PosUpdate, len(vars))
+	first := make(map[string]value.Value, len(vars))
+	for i, v := range vars {
+		doms[i] = sys.Domains[v]
+		asg[i] = state.PosUpdate{Pos: i, Val: doms[i][0]}
+		first[v] = doms[i][0]
 	}
-	return out, nil
+	tmpl := state.New(first)
+	scratch := tmpl.Clone()
+	var out []*state.State
+	for {
+		if err := m.Tick(); err != nil {
+			return nil, err
+		}
+		tmpl.OverwriteInto(scratch, asg)
+		ok := true
+		for i, p := range compiled {
+			holds, err := p(state.Step{From: scratch})
+			if err != nil {
+				return nil, fmt.Errorf("system %s: evaluating Init %s on %s: %w", sys.Name, preds[i], scratch, err)
+			}
+			if !holds {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, scratch.Clone())
+		}
+		if !nextAssignment(digits, doms) {
+			return out, nil
+		}
+		for i := range asg {
+			asg[i].Val = doms[i][digits[i]]
+		}
+	}
+}
+
+// nextAssignment advances a mixed-radix counter over doms with the LAST
+// digit fastest — value.ForEachAssignment's enumeration order, which the
+// state numbering of every graph depends on. It reports false when the
+// counter wraps (every assignment visited).
+func nextAssignment(digits []int, doms [][]value.Value) bool {
+	for i := len(digits) - 1; i >= 0; i-- {
+		digits[i]++
+		if digits[i] < len(doms[i]) {
+			return true
+		}
+		digits[i] = 0
+	}
+	return false
 }
 
 // choice is one component's contribution to a joint step with its update
 // resolved to positional form: either a stutter (action == nil, no updates)
 // or a named action reassigning its owned variables. Positional updates let
-// each candidate successor be built with a single slice copy (CloneWith)
-// instead of one map-merge-sort per component. defFreeDep records whether
-// the action's definition primes any free variable; when it does not, its
-// verdict on a candidate step is the same under every free assignment and
-// is cached per choice combination.
+// each candidate successor be built in scratch with a single slice copy
+// (OverwriteInto) instead of one map-merge-sort per component.
 type choice struct {
-	action     *compiledAction
-	ups        []state.PosUpdate
-	defFreeDep bool
+	action *compiledAction
+	ups    []state.PosUpdate
 }
 
 // posUpdates resolves an action's update map against s's binding positions.
@@ -346,7 +403,7 @@ func (sys *System) Successors(s *state.State) ([]*state.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sys.successors(cs, sys.FreeVars(), s)
+	return sys.successors(cs, s, nil)
 }
 
 // Combo-cache verdicts for the free-independent part of a step's validity.
@@ -371,47 +428,43 @@ const maxComboCache = 1 << 20
 // variable has the same verdict for a given choice combination under every
 // free assignment (unprimed variables read s, which is fixed), so those
 // verdicts are computed once per combination and cached.
-func (sys *System) successors(cs *compiledSystem, free []string, s *state.State) ([]*state.State, error) {
+//
+// Every candidate is built in one goroutine-local scratch state. An
+// accepted candidate that known (a read-only probe of the committed states,
+// nil for none) already holds is emitted as the committed pointer; only the
+// rest are cloned, so rejected, duplicate and already-explored candidates
+// cost no allocation.
+func (sys *System) successors(cs *compiledSystem, s *state.State, known func(*state.State) *state.State) ([]*state.State, error) {
 	compiled := cs.comps
-	freeSet := make(map[string]bool, len(free))
-	for _, v := range free {
-		freeSet[v] = true
-	}
-	primesFree := func(vars []string) bool {
-		for _, v := range vars {
-			if freeSet[v] {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Split the step constraints by free-dependence.
-	var consIndep, consDep []*compiledConstraint
-	for i := range cs.constraints {
-		c := &cs.constraints[i]
-		if primesFree(c.primed) {
-			consDep = append(consDep, c)
-		} else {
-			consIndep = append(consIndep, c)
+	sc, _ := cs.scratch.Get().(*succScratch)
+	if sc == nil {
+		sc = &succScratch{
+			perComp: make([][]choice, len(compiled)),
+			strides: make([]int, len(compiled)),
+			idx:     make([]int, len(compiled)),
+			freeIdx: make([]int, len(cs.free)),
+			freePos: make([]state.PosUpdate, len(cs.free)),
+			groups:  make([][]state.PosUpdate, len(compiled)+1),
+			chosen:  make([]*choice, 0, len(compiled)),
+			cand:    s.Clone(),
 		}
 	}
+	defer cs.scratch.Put(sc)
 
 	// Gather each component's choices in state s, resolving update maps to
 	// positional form once so each candidate below costs one slice copy.
-	perComp := make([][]choice, len(compiled))
+	perComp := sc.perComp
 	comboCount := 1
 	for i, cc := range compiled {
-		chs := []choice{{action: nil}} // stutter
+		chs := append(perComp[i][:0], choice{action: nil}) // stutter
 		for ai := range cc.actions {
 			ca := &cc.actions[ai]
-			dep := primesFree(ca.primed)
 			for _, up := range ca.exec(s) {
 				ups, err := sys.posUpdates(ca, s, up)
 				if err != nil {
 					return nil, err
 				}
-				chs = append(chs, choice{action: ca, ups: ups, defFreeDep: dep})
+				chs = append(chs, choice{action: ca, ups: ups})
 			}
 		}
 		perComp[i] = chs
@@ -420,9 +473,13 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 	}
 	var comboCache []int8
-	strides := make([]int, len(compiled))
+	strides := sc.strides
 	if comboCount <= maxComboCache {
-		comboCache = make([]int8, comboCount)
+		if cap(sc.comboCache) < comboCount {
+			sc.comboCache = make([]int8, comboCount)
+		}
+		comboCache = sc.comboCache[:comboCount]
+		clear(comboCache)
 		stride := 1
 		for ci := range compiled {
 			strides[ci] = stride
@@ -430,18 +487,17 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 	}
 
-	// Resolve free-variable positions and domains once; most systems have
-	// none, in which case the outer loop body runs exactly once.
-	freePos := make([]state.PosUpdate, len(free))
-	freeDoms := make([][]value.Value, len(free))
-	freeIdx := make([]int, len(free))
+	// Resolve free-variable positions once; most systems have none, in
+	// which case the outer loop body runs exactly once.
+	free := cs.free
+	freePos, freeIdx := sc.freePos, sc.freeIdx
 	for i, v := range free {
 		p, ok := s.PosOf(v)
 		if !ok {
 			return nil, fmt.Errorf("system %s: free variable %q not bound in state %s", sys.Name, v, s)
 		}
 		freePos[i] = state.PosUpdate{Pos: p}
-		freeDoms[i] = sys.Domains[v]
+		freeIdx[i] = 0
 	}
 
 	evalOn := func(kind, name string, pred form.CompiledPred, e form.Expr, st state.Step) (bool, error) {
@@ -458,19 +514,14 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		return ok, nil
 	}
 
-	seen := store.NewSet() // fingerprint dedup; Key() stays out of this hot path
-	var out []*state.State
-	groups := make([][]state.PosUpdate, len(compiled)+1)
-	idx := make([]int, len(compiled))
-	var chosen []*choice
-	// All candidates are built in one goroutine-local scratch state; only
-	// accepted ones are materialized (Clone), so rejected and duplicate
-	// candidates cost no allocation.
-	scratch := state.New(nil)
+	out := sc.out[:0]
+	seen := &sc.seen
+	seen.reset()
+	groups, idx, chosen, scratch := sc.groups, sc.idx, sc.chosen, sc.cand
 
 	for {
 		for i := range free {
-			freePos[i].Val = freeDoms[i][freeIdx[i]]
+			freePos[i].Val = cs.freeDoms[i][freeIdx[i]]
 		}
 		groups[0] = freePos
 		// Enumerate per-component choice combinations under this free
@@ -503,14 +554,14 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 				}
 			}
 			s.OverwriteInto(scratch, groups...)
-			if !seen.Has(scratch) {
+			if fp := scratch.Fingerprint(); !seen.has(out, scratch, fp) {
 				st := state.Step{From: s, To: scratch}
 				valid := true
 				if cv == comboUnknown {
 					// Free-independent part: chosen defs and constraints
 					// that prime no free variable.
 					for _, ch := range chosen {
-						if ch.defFreeDep {
+						if ch.action.freeDep {
 							continue
 						}
 						ok, err := evalOn("action", ch.action.name, ch.action.pred, ch.action.def, st)
@@ -523,7 +574,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 						}
 					}
 					if valid {
-						for _, c := range consIndep {
+						for _, c := range cs.consIndep {
 							ok, err := evalOn("constraint", c.name, c.pred, c.action, st)
 							if err != nil {
 								return nil, err
@@ -545,7 +596,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 				if valid {
 					// Free-dependent part, re-checked per free assignment.
 					for _, ch := range chosen {
-						if !ch.defFreeDep {
+						if !ch.action.freeDep {
 							continue
 						}
 						ok, err := evalOn("action", ch.action.name, ch.action.pred, ch.action.def, st)
@@ -558,7 +609,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 						}
 					}
 					if valid {
-						for _, c := range consDep {
+						for _, c := range cs.consDep {
 							ok, err := evalOn("constraint", c.name, c.pred, c.action, st)
 							if err != nil {
 								return nil, err
@@ -571,8 +622,14 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 					}
 				}
 				if valid {
-					t := scratch.Clone()
-					seen.Add(t)
+					var t *state.State
+					if known != nil {
+						t = known(scratch)
+					}
+					if t == nil {
+						t = scratch.Clone()
+					}
+					seen.add(fp)
 					out = append(out, t)
 				}
 			}
@@ -580,23 +637,112 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 				break
 			}
 		}
-		// Advance the free-variable counter. The LAST variable varies
-		// fastest, matching value.ForEachAssignment's enumeration order, so
-		// successor order — and hence state numbering — is unchanged.
-		fi := len(free) - 1
-		for fi >= 0 {
-			freeIdx[fi]++
-			if freeIdx[fi] < len(freeDoms[fi]) {
-				break
-			}
-			freeIdx[fi] = 0
-			fi--
-		}
-		if fi < 0 {
+		if !nextAssignment(freeIdx, cs.freeDoms) {
 			break
 		}
 	}
-	return out, nil
+	// The row is built in the pooled scratch and returned as one exact-size
+	// copy; the scratch drops its references so the pool retains no state.
+	row := slices.Clone(out)
+	clear(out)
+	sc.out = out
+	return row, nil
+}
+
+// succScratch is the working memory of one successors call, recycled
+// through compiledSystem.scratch so that steady-state expansion allocates
+// only the returned row, the update lists of enabled actions and the
+// states it clones. Every field is reset by the call that takes it.
+type succScratch struct {
+	perComp    [][]choice // per component: stutter plus enabled updates
+	comboCache []int8     // verdicts by linearized choice combination
+	strides    []int      // linearization strides of perComp
+	idx        []int      // the choice-combination counter
+	freeIdx    []int      // the free-assignment counter
+	freePos    []state.PosUpdate
+	groups     [][]state.PosUpdate
+	chosen     []*choice    // at most one action per component
+	cand       *state.State // every candidate is built here
+	out        []*state.State
+	seen       rowSet
+}
+
+// rowSetLinear is the row length up to which rowSet scans its fingerprints
+// linearly; longer rows (large free domains) switch to a hash table so a
+// row's dedup stays linear overall.
+const rowSetLinear = 32
+
+// rowSet deduplicates the successor row of one expansion: a fingerprint
+// slice parallel to the row, with structural equality confirming every
+// fingerprint match, so a 64-bit collision never drops a successor.
+type rowSet struct {
+	fps []uint64
+	// slots, once the row outgrows rowSetLinear, is an open-addressing
+	// table of row positions plus one (0 = empty), at most half full. One
+	// slice instead of a map keeps the switch to a single allocation.
+	slots []int32
+}
+
+func (r *rowSet) reset() {
+	r.fps = r.fps[:0]
+	r.slots = r.slots[:0]
+}
+
+// has reports whether row (the states added so far, parallel to fps)
+// holds a state equal to s, whose fingerprint is fp.
+func (r *rowSet) has(row []*state.State, s *state.State, fp uint64) bool {
+	if len(r.slots) == 0 {
+		for k, f := range r.fps {
+			if f == fp && row[k].Equal(s) {
+				return true
+			}
+		}
+		return false
+	}
+	mask := uint64(len(r.slots) - 1)
+	for i := fp & mask; r.slots[i] != 0; i = (i + 1) & mask {
+		if k := r.slots[i] - 1; r.fps[k] == fp && row[k].Equal(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// add records the fingerprint of the state just appended to the row.
+func (r *rowSet) add(fp uint64) {
+	r.fps = append(r.fps, fp)
+	switch {
+	case len(r.slots) == 0:
+		if len(r.fps) > rowSetLinear {
+			r.rehash(4 * rowSetLinear)
+		}
+	case 2*len(r.fps) > len(r.slots):
+		r.rehash(2 * len(r.slots))
+	default:
+		r.insert(len(r.fps) - 1)
+	}
+}
+
+// rehash rebuilds the table with n slots (a power of two).
+func (r *rowSet) rehash(n int) {
+	if cap(r.slots) >= n {
+		r.slots = r.slots[:n]
+		clear(r.slots)
+	} else {
+		r.slots = make([]int32, n)
+	}
+	for k := range r.fps {
+		r.insert(k)
+	}
+}
+
+func (r *rowSet) insert(k int) {
+	mask := uint64(len(r.slots) - 1)
+	i := r.fps[k] & mask
+	for r.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	r.slots[i] = int32(k + 1)
 }
 
 // advance increments the per-component mixed-radix counter; it returns
